@@ -27,6 +27,7 @@ from .graph import (
     two_coloring,
 )
 from .structures import (
+    CoveringProblem,
     EdgeStructure,
     EnumerationCapError,
     IncidenceMatrix,
@@ -36,6 +37,7 @@ from .structures import (
     union_structure_edges,
     verify_cover,
 )
+from .certificates import CertificateError
 from .lp import FractionalSolution, SimplexIterationError, format_lp, solve_covering_lp
 from .cover import (
     Bipartition,
@@ -46,6 +48,8 @@ from .cover import (
     cover_k_cliques_improved,
     cover_k_cycles_basic,
     cover_k_cycles_odd,
+    round_basic,
+    round_improved,
     round_threshold,
 )
 from .exact import (
@@ -54,6 +58,8 @@ from .exact import (
     UnsolvedInstanceError,
     exact_max_packing,
     exact_min_cover,
+    max_packing,
+    min_cover,
     sandwich_check,
     turan_graph_edge_count,
     turan_tau_complete,
@@ -72,6 +78,7 @@ __all__ = [
     "serialize_graph",
     "total_weight",
     "two_coloring",
+    "CoveringProblem",
     "EdgeStructure",
     "EnumerationCapError",
     "IncidenceMatrix",
@@ -80,6 +87,7 @@ __all__ = [
     "enumerate_k_cycles",
     "union_structure_edges",
     "verify_cover",
+    "CertificateError",
     "FractionalSolution",
     "SimplexIterationError",
     "format_lp",
@@ -92,12 +100,16 @@ __all__ = [
     "cover_k_cliques_improved",
     "cover_k_cycles_basic",
     "cover_k_cycles_odd",
+    "round_basic",
+    "round_improved",
     "round_threshold",
     "ExactCover",
     "ExactPacking",
     "UnsolvedInstanceError",
     "exact_max_packing",
     "exact_min_cover",
+    "max_packing",
+    "min_cover",
     "sandwich_check",
     "turan_graph_edge_count",
     "turan_tau_complete",

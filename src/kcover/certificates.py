@@ -1,0 +1,114 @@
+"""Every certificate the solvers hand back is checked here, in exact arithmetic.
+
+The checks are program logic rather than assertions, so they also run
+under ``python -O``; a failed check raises CertificateError.  Checks that
+need a cover's feasibility take the covering problem and ask it to
+re-enumerate, so they never trust stored incidence rows.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, lcm
+
+from .graph import EdgeSet, WeightedGraph, remove_edges, total_weight, two_coloring
+
+
+class CertificateError(ValueError):
+    """A solution, cover or bound failed its exact check."""
+
+
+def require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CertificateError(message)
+
+
+def _scaled(values) -> tuple[int, list[int]]:
+    """(d, [v * d]) for the least common multiple d of the values' denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def check_lp_certificate(rows, weights, x, objective, y, z=None) -> None:
+    """Prove that x is optimal for min{w.x : Ax >= 1, 0 <= x <= 1} with dual (y, z).
+
+    `rows` lists each row's column indices.  x is scaled to integers by the
+    LCM of its denominators and (y, z) by theirs, so every condition is
+    checked in int arithmetic: box, rows, the pigeonhole bound
+    max_e x_e >= 1/|row|, the primal objective, dual signs, dual capacity
+    A'y - z <= w and strong duality.  Without z the tightest z
+    (max(0, A'y - w) per column) is used.
+    """
+    require(len(x) == len(weights), "LP certificate: wrong number of values")
+    require(len(y) == len(rows), "LP certificate: wrong number of dual multipliers")
+    dx, xs = _scaled(x)
+    require(all(0 <= v <= dx for v in xs), "LP certificate: box bounds violated")
+    for idx in rows:
+        require(sum(xs[e] for e in idx) >= dx, "LP certificate: cover constraint violated")
+        require(max(xs[e] for e in idx) * len(idx) >= dx, "LP certificate: pigeonhole bound violated")
+    primal = sum(w * v for w, v in zip(weights, xs))
+    require(primal * objective.denominator == objective.numerator * dx,
+            "LP certificate: objective mismatch")
+
+    dy, ys = _scaled(list(y) + list(z or ()))
+    ys, zs = ys[: len(rows)], ys[len(rows):]
+    require(all(v >= 0 for v in ys + zs), "LP certificate: negative dual multiplier")
+    load = [0] * len(weights)
+    for idx, v in zip(rows, ys):
+        if v:
+            for e in idx:
+                load[e] += v
+    if z is None:
+        zs = [max(0, l - w * dy) for l, w in zip(load, weights)]
+    else:
+        require(len(zs) == len(weights), "LP certificate: wrong number of bound multipliers")
+        require(all(w * dy - l + ze >= 0 for w, l, ze in zip(weights, load, zs)),
+                "LP certificate: dual capacity violated")
+    require((sum(ys) - sum(zs)) * objective.denominator == objective.numerator * dy,
+            "LP certificate: strong duality violated")
+
+
+def check_cover(problem, result) -> None:
+    """A rounded cover is feasible and within its ratio bound times the LP bound."""
+    require(problem.is_cover(result.cover), "rounded cover is infeasible")
+    require(result.cover_weight <= result.ratio_bound * result.lp_objective,
+            "ratio certificate violated")
+
+
+def check_improved_parts(solution, t: int, picked, removed, residual, span) -> None:
+    """The invariants of threshold rounding + bipartization.
+
+    Each residual edge escaped the rounding (value < 2/(2t-1)) yet sits in a
+    structure whose other t-1 edges also escaped, forcing its value up to at
+    least 1/(2t-1).  The removed edges come from the residual only, miss the
+    picked ones, and leave the survivors' span two-colorable.
+    """
+    lo, hi = Fraction(1, 2 * t - 1), Fraction(2, 2 * t - 1)
+    require(all(lo <= solution.values[e] < hi for e in residual),
+            "residual edge value outside [1/(2t-1), 2/(2t-1))")
+    require(not (picked & removed), "bipartization removed a picked edge")
+    require(removed.issubset(residual), "bipartization removed a non-residual edge")
+    require(two_coloring(remove_edges(span, removed)) is not None,
+            "bipartization left the survivors' span non-bipartite")
+
+
+def check_half_cut(sub: WeightedGraph, cut_edges: EdgeSet) -> None:
+    require(2 * total_weight(sub, cut_edges) >= total_weight(sub, sub.edge_set()),
+            "cut carries less than half the weight")
+
+
+def check_exact_cover(problem, cover: EdgeSet, weight: int, lp_objective) -> None:
+    """An exact optimum is a feasible cover of the claimed weight, above the LP bound."""
+    require(weight == total_weight(problem.g, cover), "exact cover weight mismatch")
+    require(lp_objective <= weight, "LP bound exceeds exact optimum")
+    require(problem.is_cover(cover), "exact cover is infeasible")
+
+
+def check_packing(g: WeightedGraph, k: int, cliques) -> None:
+    """The cliques are pairwise edge-disjoint, so at most |E|/C(k,2) of them."""
+    used: set = set()
+    for s in cliques:
+        edges = set(s.edges)
+        require(not used & edges, "packing shares an edge")
+        used |= edges
+    require(len(cliques) <= g.edge_count // comb(k, 2), "packing exceeds |E|/C(k,2)")

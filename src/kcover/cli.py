@@ -2,9 +2,10 @@
 
 Reports are line-oriented key=value text (or JSON with --format structured)
 with rationals rendered exactly, e.g. lp_objective=9/2.  Exit codes:
-0 certified/feasible, 1 infeasible/uncertified, 2 usage error, 3 resource
-cap (enumeration cap or node budget).  Stdout is byte-identical across
-repeated runs on the same input; wall time goes to stderr.
+0 certified/feasible, 1 infeasible/uncertified (including a failed
+certificate check), 2 usage error, 3 resource cap (enumeration cap or node
+budget).  Stdout is byte-identical across repeated runs on the same
+input; wall time goes to stderr.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .certificates import CertificateError
 from .cover import (
-    CoverResult,
     cover_k_cliques_basic,
     cover_k_cliques_improved,
     cover_k_cycles_basic,
@@ -39,57 +39,43 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One cover run: inputs, certified bound data, and timing."""
-
-    input: str
-    algorithm: str
-    k: int
-    kind: str
-    cover: EdgeSet
-    cover_weight: int
-    lp_objective: Fraction
-    ratio_bound: Fraction
-    certified: bool
-    wall_time: float
-
-    def text_lines(self) -> list[str]:
-        return [
-            f"input={self.input}",
-            f"algorithm={self.algorithm}",
-            f"k={self.k}",
-            f"kind={self.kind}",
-            f"cover_weight={self.cover_weight}",
-            f"lp_objective={self.lp_objective}",
-            f"ratio_bound={self.ratio_bound}",
-            f"certified={'true' if self.certified else 'false'}",
-            f"cover={_edges_text(self.cover)}",
-        ]
-
-    def json_obj(self) -> dict:
-        return {
-            "input": self.input,
-            "algorithm": self.algorithm,
-            "k": self.k,
-            "kind": self.kind,
-            "cover_weight": self.cover_weight,
-            "lp_objective": str(self.lp_objective),
-            "ratio_bound": str(self.ratio_bound),
-            "certified": self.certified,
-            "cover": [[u, v] for u, v in self.cover],
-        }
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, EdgeSet):
+        return ",".join(f"{u}-{v}" for u, v in value)
+    if isinstance(value, tuple):  # packed cliques
+        return ",".join(".".join(str(v) for v in s.vertices) for s in value)
+    return str(value)
 
 
-def _edges_text(s: EdgeSet) -> str:
-    return ",".join(f"{u}-{v}" for u, v in s)
+def _json(value):
+    if isinstance(value, EdgeSet):
+        return [[u, v] for u, v in value]
+    if isinstance(value, tuple):
+        return [list(s.vertices) for s in value]
+    return str(value) if isinstance(value, Fraction) else value
 
 
-def _emit(args, text_lines: list[str], json_obj: dict) -> None:
+def _write_json(obj) -> None:
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+
+
+def _emit(args, report: dict) -> None:
+    """Print a report as key=value lines, or as one JSON object."""
     if args.format == "structured":
-        sys.stdout.write(json.dumps(json_obj, indent=2) + "\n")
+        _write_json({key: _json(value) for key, value in report.items()})
     else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+        sys.stdout.write("".join(f"{key}={_text(value)}\n" for key, value in report.items()))
+
+
+def _emit_exact(args, head: dict, result, optimal: dict) -> int:
+    """Report an exact solve: the fields of its optimum, or the nodes spent if unsolved."""
+    if not result.solved:
+        _emit(args, head | {"status": "unsolved", "nodes": result.node_count})
+        return EXIT_RESOURCE
+    _emit(args, head | {"status": "optimal"} | optimal)
+    return EXIT_OK
 
 
 def _read(path: str) -> str:
@@ -97,12 +83,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
+def _count(text: str) -> int:
+    """argparse type for caps and budgets: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def cmd_cover(args) -> int:
+    """Run one rounding algorithm; the result comes back already certified."""
     g = parse_graph(_read(args.file))
     dispatch = {
         ("cycle", "basic"): cover_k_cycles_basic,
@@ -112,65 +105,31 @@ def cmd_cover(args) -> int:
     }
     run = dispatch[(args.kind, args.algorithm)]
     start = time.perf_counter()
-    result: CoverResult = run(g, args.k, max_structures=args.max_structures)
+    result = run(g, args.k, max_structures=args.max_structures)
     elapsed = time.perf_counter() - start
-    certified = verify_cover(g, args.k, args.kind, result.cover) and Fraction(
-        result.cover_weight
-    ) <= result.ratio_bound * result.lp_objective
-    report = RunReport(
-        input=args.file,
-        algorithm=result.algorithm,
-        k=args.k,
-        kind=args.kind,
-        cover=result.cover,
-        cover_weight=result.cover_weight,
-        lp_objective=result.lp_objective,
-        ratio_bound=result.ratio_bound,
-        certified=certified,
-        wall_time=elapsed,
-    )
-    _emit(args, report.text_lines(), report.json_obj())
+    _emit(args, {
+        "input": args.file,
+        "algorithm": result.algorithm,
+        "k": args.k,
+        "kind": args.kind,
+        "cover_weight": result.cover_weight,
+        "lp_objective": result.lp_objective,
+        "ratio_bound": result.ratio_bound,
+        "certified": True,
+        "cover": result.cover,
+    })
     sys.stderr.write(f"wall_time_seconds={elapsed:.6f}\n")
-    return EXIT_OK if certified else EXIT_UNCERTIFIED
+    return EXIT_OK
 
 
 def cmd_exact(args) -> int:
     g = parse_graph(_read(args.file))
     result = exact_min_cover(
-        g,
-        args.k,
-        args.kind,
-        max_structures=args.max_structures,
-        node_budget=args.node_budget,
+        g, args.k, args.kind, max_structures=args.max_structures, node_budget=args.node_budget
     )
-    head = [f"input={args.file}", f"k={args.k}", f"kind={args.kind}"]
-    obj: dict = {"input": args.file, "k": args.k, "kind": args.kind}
-    if not result.solved:
-        _emit(
-            args,
-            head + ["status=unsolved", f"nodes={result.node_count}"],
-            obj | {"status": "unsolved", "nodes": result.node_count},
-        )
-        return EXIT_RESOURCE
-    assert result.cover is not None
-    _emit(
-        args,
-        head
-        + [
-            "status=optimal",
-            f"weight={result.weight}",
-            f"nodes={result.node_count}",
-            f"cover={_edges_text(result.cover)}",
-        ],
-        obj
-        | {
-            "status": "optimal",
-            "weight": result.weight,
-            "nodes": result.node_count,
-            "cover": [[u, v] for u, v in result.cover],
-        },
-    )
-    return EXIT_OK
+    head = {"input": args.file, "k": args.k, "kind": args.kind}
+    optimal = {"weight": result.weight, "nodes": result.node_count, "cover": result.cover}
+    return _emit_exact(args, head, result, optimal)
 
 
 def cmd_pack(args) -> int:
@@ -178,35 +137,9 @@ def cmd_pack(args) -> int:
     result = exact_max_packing(
         g, args.k, max_structures=args.max_structures, node_budget=args.node_budget
     )
-    head = [f"input={args.file}", f"k={args.k}"]
-    obj: dict = {"input": args.file, "k": args.k}
-    if not result.solved:
-        _emit(
-            args,
-            head + ["status=unsolved", f"nodes={result.node_count}"],
-            obj | {"status": "unsolved", "nodes": result.node_count},
-        )
-        return EXIT_RESOURCE
-    assert result.cliques is not None
-    cliques_text = ",".join(".".join(str(v) for v in s.vertices) for s in result.cliques)
-    _emit(
-        args,
-        head
-        + [
-            "status=optimal",
-            f"count={result.count}",
-            f"nodes={result.node_count}",
-            f"cliques={cliques_text}",
-        ],
-        obj
-        | {
-            "status": "optimal",
-            "count": result.count,
-            "nodes": result.node_count,
-            "cliques": [list(s.vertices) for s in result.cliques],
-        },
-    )
-    return EXIT_OK
+    head = {"input": args.file, "k": args.k}
+    optimal = {"count": result.count, "nodes": result.node_count, "cliques": result.cliques}
+    return _emit_exact(args, head, result, optimal)
 
 
 def cmd_ratio_study(args) -> int:
@@ -218,45 +151,36 @@ def cmd_ratio_study(args) -> int:
     if lo > hi or lo < 1:
         raise ValueError(f"invalid n range {lo}:{hi}")
 
-    lines = []
     rows = []
-    any_unsolved = False
     for n in range(lo, hi + 1):
         g = complete_graph(n)
         cover = exact_min_cover(
-            g,
-            args.k,
-            args.kind,
-            max_structures=args.max_structures,
-            node_budget=args.node_budget,
+            g, args.k, args.kind, max_structures=args.max_structures, node_budget=args.node_budget
         )
         packing = exact_max_packing(
             g, args.k, max_structures=args.max_structures, node_budget=args.node_budget
         )
         if not (cover.solved and packing.solved):
-            any_unsolved = True
-            lines.append(f"n={n} status=unsolved")
             rows.append({"n": n, "status": "unsolved"})
             continue
         tau, nu = cover.weight, packing.count
-        assert tau is not None and nu is not None
-        over_nu = str(Fraction(tau, nu)) if nu else "-"
-        over_binom = str(Fraction(tau, comb(n, 2))) if n >= 2 else "-"
-        lines.append(
-            f"n={n} tau={tau} nu={nu} tau_over_nu={over_nu} tau_over_binom={over_binom}"
-        )
-        rows.append(
-            {
-                "n": n,
-                "status": "optimal",
-                "tau": tau,
-                "nu": nu,
-                "tau_over_nu": over_nu,
-                "tau_over_binom": over_binom,
-            }
-        )
-    _emit(args, lines, {"k": args.k, "kind": args.kind, "rows": rows})
-    return EXIT_RESOURCE if any_unsolved else EXIT_OK
+        rows.append({
+            "n": n,
+            "status": "optimal",
+            "tau": tau,
+            "nu": nu,
+            "tau_over_nu": str(Fraction(tau, nu)) if nu else "-",
+            "tau_over_binom": str(Fraction(tau, comb(n, 2))) if n >= 2 else "-",
+        })
+    if args.format == "structured":
+        _write_json({"k": args.k, "kind": args.kind, "rows": rows})
+    else:
+        # One line per n; solved rows leave their status implicit.
+        for row in rows:
+            fields = (f"{key}={value}" for key, value in row.items() if value != "optimal")
+            sys.stdout.write(" ".join(fields) + "\n")
+    solved = all(row["status"] == "optimal" for row in rows)
+    return EXIT_OK if solved else EXIT_RESOURCE
 
 
 def cmd_verify(args) -> int:
@@ -267,37 +191,33 @@ def cmd_verify(args) -> int:
         listed = ",".join(f"{u}-{v}" for u, v in foreign)
         raise ValueError(f"cover contains edges not in the graph: {listed}")
     feasible = verify_cover(g, args.k, args.kind, cover)
-    lines = [
-        f"input={args.file}",
-        f"cover_file={args.cover_file}",
-        f"k={args.k}",
-        f"kind={args.kind}",
-        f"feasible={'true' if feasible else 'false'}",
-    ]
-    obj = {
+    _emit(args, {
         "input": args.file,
         "cover_file": args.cover_file,
         "k": args.k,
         "kind": args.kind,
         "feasible": feasible,
-    }
-    _emit(args, lines, obj)
+    })
     return EXIT_OK if feasible else EXIT_UNCERTIFIED
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    # argparse runs `type` on string defaults too, so a bad environment
+    # value is a usage error just like a bad flag.
     common.add_argument(
         "--max-structures",
-        type=int,
-        default=_env_int("KCOVER_MAX_STRUCTURES", DEFAULT_MAX_STRUCTURES),
-        help="enumeration cap; exceeding it aborts with exit code 3",
+        type=_count,
+        default=os.environ.get("KCOVER_MAX_STRUCTURES") or DEFAULT_MAX_STRUCTURES,
+        help="enumeration cap (default $KCOVER_MAX_STRUCTURES or "
+        f"{DEFAULT_MAX_STRUCTURES}); exceeding it aborts with exit code 3",
     )
     common.add_argument(
         "--node-budget",
-        type=int,
-        default=_env_int("KCOVER_NODE_BUDGET", DEFAULT_NODE_BUDGET),
-        help="branch-and-bound node budget for exact solves",
+        type=_count,
+        default=os.environ.get("KCOVER_NODE_BUDGET") or DEFAULT_NODE_BUDGET,
+        help="branch-and-bound node budget for exact solves "
+        f"(default $KCOVER_NODE_BUDGET or {DEFAULT_NODE_BUDGET})",
     )
     common.add_argument(
         "--format",
@@ -358,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
+    except CertificateError as exc:
+        sys.stderr.write(f"error: certificate check failed: {exc}\n")
+        return EXIT_UNCERTIFIED
     except (GraphFormatError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

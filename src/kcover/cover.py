@@ -11,8 +11,10 @@ Two pipelines, each for cycles and for cliques:
   t - 1/2.  The cycle variant needs odd k: a bipartite graph has no odd
   cycle, while it trivially has no clique on 3 or more vertices.
 
-Every returned cover is re-verified and its ratio certificate checked in
-exact arithmetic before the result is handed back.
+Both run on a CoveringProblem, which enumerates and solves the LP once;
+the public cover_k_* functions build one per call.  Every returned cover is
+re-verified and its ratio certificate checked in exact arithmetic before
+the result is handed back.
 """
 
 from __future__ import annotations
@@ -20,23 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (
-    EdgeSet,
-    WeightedGraph,
-    edge_induced_subgraph,
-    remove_edges,
-    total_weight,
-    two_coloring,
-)
-from .lp import FractionalSolution, check_certificate, solve_covering_lp
-from .structures import (
-    DEFAULT_MAX_STRUCTURES,
-    build_incidence,
-    enumerate_k_cliques,
-    enumerate_k_cycles,
-    union_structure_edges,
-    verify_cover,
-)
+from .certificates import check_cover, check_half_cut, check_improved_parts
+from .graph import EdgeSet, WeightedGraph, edge_induced_subgraph, total_weight
+from .lp import FractionalSolution
+from .structures import DEFAULT_MAX_STRUCTURES, CoveringProblem, union_structure_edges
 
 
 @dataclass(frozen=True)
@@ -126,103 +115,69 @@ def bipartize_half_weight(sub: WeightedGraph) -> Bipartition:
 
     cut_edges = EdgeSet(e for e in sub.edges if side[e[0]] != side[e[1]])
     inner_edges = sub.edge_set() - cut_edges
-    result = Bipartition(
+    check_half_cut(sub, cut_edges)
+    return Bipartition(
         side1=tuple(v for v in sub.vertices if side[v] == 0),
         side2=tuple(v for v in sub.vertices if side[v] == 1),
         cut_edges=cut_edges,
         inner_edges=inner_edges,
     )
-    assert 2 * total_weight(sub, cut_edges) >= total_weight(sub, sub.edge_set())
-    return result
 
 
-def _structure_edge_count(k: int, kind: str) -> int:
-    return k if kind == "cycle" else k * (k - 1) // 2
-
-
-def _enumerate(g: WeightedGraph, k: int, kind: str, max_structures: int):
-    if kind == "cycle":
-        return enumerate_k_cycles(g, k, max_structures)
-    return enumerate_k_cliques(g, k, max_structures)
-
-
-def _solved_lp(
-    g: WeightedGraph,
-    k: int,
-    kind: str,
-    max_structures: int,
-    solution: FractionalSolution | None,
-):
-    structures = _enumerate(g, k, kind, max_structures)
-    matrix = build_incidence(g, structures)
-    if solution is None:
-        solution = solve_covering_lp(matrix, g)
-    else:
-        check_certificate(matrix, g, solution)
-    return matrix, solution
-
-
-def _certify(g: WeightedGraph, k: int, kind: str, result: CoverResult) -> CoverResult:
-    assert verify_cover(g, k, kind, result.cover), "rounded cover is infeasible"
-    assert Fraction(result.cover_weight) <= result.ratio_bound * result.lp_objective
-    return result
-
-
-def _basic_cover(
-    g: WeightedGraph,
-    k: int,
-    kind: str,
-    max_structures: int,
-    solution: FractionalSolution | None,
+def round_basic(
+    problem: CoveringProblem, solution: FractionalSolution | None = None
 ) -> CoverResult:
-    _, sol = _solved_lp(g, k, kind, max_structures, solution)
-    t = _structure_edge_count(k, kind)
+    """Threshold 1/t rounding of the problem's LP optimum; certified ratio t."""
+    sol = problem.solve(solution)
+    t = problem.edges_per_structure
     cover = round_threshold(sol, Fraction(1, t))
     result = CoverResult(
         cover=cover,
-        cover_weight=total_weight(g, cover),
+        cover_weight=total_weight(problem.g, cover),
         lp_objective=sol.objective,
         ratio_bound=Fraction(t),
-        algorithm=f"basic-{kind}",
+        algorithm=f"basic-{problem.kind}",
         solution=sol,
     )
-    return _certify(g, k, kind, result)
+    check_cover(problem, result)
+    return result
 
 
-def _improved_cover(
-    g: WeightedGraph,
-    k: int,
-    kind: str,
-    max_structures: int,
-    solution: FractionalSolution | None,
+def round_improved(
+    problem: CoveringProblem, solution: FractionalSolution | None = None
 ) -> CoverResult:
-    _, sol = _solved_lp(g, k, kind, max_structures, solution)
-    t = _structure_edge_count(k, kind)
-    threshold = Fraction(2, 2 * t - 1)
-    picked = round_threshold(sol, threshold)
+    """Threshold 2/(2t-1) rounding plus bipartization; certified ratio t - 1/2.
 
-    survivors = _enumerate(remove_edges(g, picked), k, kind, max_structures)
+    The structures that survive the rounding are the problem's rows that
+    miss every picked edge, so no second enumeration is needed.
+    """
+    if problem.kind == "cycle" and problem.k % 2 == 0:
+        raise ValueError(
+            f"improved cycle covering needs odd k (bipartite graphs can "
+            f"still contain even cycles), got k={problem.k}"
+        )
+    g = problem.g
+    sol = problem.solve(solution)
+    t = problem.edges_per_structure
+    picked = round_threshold(sol, Fraction(2, 2 * t - 1))
+
+    picked_mask = sum(1 << g.edge_index[e] for e in picked)
+    survivors = [
+        s for s, mask in zip(problem.structures, problem.row_masks) if not mask & picked_mask
+    ]
     residual = union_structure_edges(survivors)
     span = edge_induced_subgraph(g, residual)
     bipartition = bipartize_half_weight(span)
     removed = bipartition.inner_edges
+    check_improved_parts(sol, t, picked, removed, residual, span)
+
     cover = picked | removed
-
-    # Each residual edge escaped the rounding (value < threshold) yet sits in
-    # a structure whose other t-1 edges also escaped, forcing its value up to
-    # at least 1/(2t-1).
-    floor = Fraction(1, 2 * t - 1)
-    assert all(floor <= sol.values[e] < threshold for e in residual)
-    assert not (picked & removed)
-    assert removed.issubset(residual)
-    assert two_coloring(remove_edges(span, removed)) is not None
-
     result = CoverResult(
         cover=cover,
         cover_weight=total_weight(g, cover),
         lp_objective=sol.objective,
         ratio_bound=Fraction(2 * t - 1, 2),
-        algorithm=f"improved-{kind}",
+        algorithm=f"improved-{problem.kind}",
         solution=sol,
         parts=CoverParts(
             threshold_edges=picked,
@@ -231,7 +186,8 @@ def _improved_cover(
             bipartition=bipartition,
         ),
     )
-    return _certify(g, k, kind, result)
+    check_cover(problem, result)
+    return result
 
 
 def cover_k_cycles_basic(
@@ -242,7 +198,7 @@ def cover_k_cycles_basic(
     solution: FractionalSolution | None = None,
 ) -> CoverResult:
     """Threshold-rounding k-cycle cover with certified ratio k."""
-    return _basic_cover(g, k, "cycle", max_structures, solution)
+    return round_basic(CoveringProblem(g, k, "cycle", max_structures), solution)
 
 
 def cover_k_cycles_odd(
@@ -253,12 +209,7 @@ def cover_k_cycles_odd(
     solution: FractionalSolution | None = None,
 ) -> CoverResult:
     """Improved k-cycle cover with certified ratio k - 1/2; k must be odd."""
-    if k % 2 == 0:
-        raise ValueError(
-            f"improved cycle covering needs odd k (bipartite graphs can "
-            f"still contain even cycles), got k={k}"
-        )
-    return _improved_cover(g, k, "cycle", max_structures, solution)
+    return round_improved(CoveringProblem(g, k, "cycle", max_structures), solution)
 
 
 def cover_k_cliques_basic(
@@ -269,7 +220,7 @@ def cover_k_cliques_basic(
     solution: FractionalSolution | None = None,
 ) -> CoverResult:
     """Threshold-rounding k-clique cover with certified ratio k(k-1)/2."""
-    return _basic_cover(g, k, "clique", max_structures, solution)
+    return round_basic(CoveringProblem(g, k, "clique", max_structures), solution)
 
 
 def cover_k_cliques_improved(
@@ -280,4 +231,4 @@ def cover_k_cliques_improved(
     solution: FractionalSolution | None = None,
 ) -> CoverResult:
     """Improved k-clique cover with certified ratio (k^2 - k - 1)/2."""
-    return _improved_cover(g, k, "clique", max_structures, solution)
+    return round_improved(CoveringProblem(g, k, "clique", max_structures), solution)

@@ -3,7 +3,8 @@
 Both solvers are plain depth-first branch and bound over edge bitmasks with
 deterministic branching, so repeated runs return identical optima.  They
 count search nodes against an explicit budget and report "unsolved" when it
-runs out rather than ever returning an unproven answer.
+runs out rather than ever returning an unproven answer.  Both run on a
+CoveringProblem, whose rows, bitmasks and LP optimum they reuse.
 """
 
 from __future__ import annotations
@@ -12,16 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import EdgeSet, WeightedGraph, total_weight
-from .lp import solve_covering_lp
-from .structures import (
-    DEFAULT_MAX_STRUCTURES,
-    EdgeStructure,
-    build_incidence,
-    enumerate_k_cliques,
-    enumerate_k_cycles,
-    verify_cover,
-)
+from .certificates import check_exact_cover, check_packing
+from .graph import EdgeSet, WeightedGraph
+from .structures import DEFAULT_MAX_STRUCTURES, CoveringProblem, EdgeStructure
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -146,41 +140,22 @@ class _CoverSearch:
                 taken |= 1 << e
 
 
-def exact_min_cover(
-    g: WeightedGraph,
-    k: int,
-    kind: str,
-    *,
-    max_structures: int = DEFAULT_MAX_STRUCTURES,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> ExactCover:
-    """Minimum-weight k-structure cover by branch and bound.
+def min_cover(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactCover:
+    """Minimum-weight cover of the problem's structures by branch and bound.
 
     The returned weight is provably optimal; if the node budget runs out
     the result is explicitly "unsolved", never a guess.
     """
-    if kind == "cycle":
-        structures = enumerate_k_cycles(g, k, max_structures)
-    else:
-        structures = enumerate_k_cliques(g, k, max_structures)
-    if not structures:
+    if not problem.structures:
         return ExactCover("optimal", EdgeSet(), 0, 0)
-
-    matrix = build_incidence(g, structures)
-    relaxation = solve_covering_lp(matrix, g)
-
+    g = problem.g
+    relaxation = problem.solve()
     weights = g.weights
-    row_masks = []
-    row_edges = []
-    for idx in matrix.row_edge_indices:
-        mask = 0
-        for e in idx:
-            mask |= 1 << e
-        row_masks.append(mask)
-        row_edges.append(tuple(sorted(idx, key=lambda e: (-weights[e], e))))
+    rows = problem.incidence.row_edge_indices
+    row_edges = [tuple(sorted(idx, key=lambda e: (-weights[e], e))) for idx in rows]
 
-    load = [Fraction(0)] * matrix.column_count
-    for idx, y in zip(matrix.row_edge_indices, relaxation.dual):
+    load = [Fraction(0)] * g.edge_count
+    for idx, y in zip(rows, relaxation.dual):
         if y:
             for e in idx:
                 load[e] += y
@@ -189,17 +164,26 @@ def exact_min_cover(
     )
 
     search = _CoverSearch(
-        row_masks, row_edges, weights, relaxation.dual, dual_offset, node_budget
+        problem.row_masks, row_edges, weights, relaxation.dual, dual_offset, node_budget
     )
     if not search.run():
         return ExactCover("unsolved", None, None, search.nodes)
 
     cover = EdgeSet(e for i, e in enumerate(g.edges) if search.best_mask >> i & 1)
-    weight = search.best_weight
-    assert weight is not None and weight == total_weight(g, cover)
-    assert relaxation.objective <= weight, "LP bound exceeds exact optimum"
-    assert verify_cover(g, k, kind, cover)
-    return ExactCover("optimal", cover, weight, search.nodes)
+    check_exact_cover(problem, cover, search.best_weight, relaxation.objective)
+    return ExactCover("optimal", cover, search.best_weight, search.nodes)
+
+
+def exact_min_cover(
+    g: WeightedGraph,
+    k: int,
+    kind: str,
+    *,
+    max_structures: int = DEFAULT_MAX_STRUCTURES,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> ExactCover:
+    """Minimum-weight k-structure cover by branch and bound; see min_cover."""
+    return min_cover(CoveringProblem(g, k, kind, max_structures), node_budget)
 
 
 class _PackingSearch:
@@ -243,6 +227,23 @@ class _PackingSearch:
         self._visit(first + 1, used, chosen)
 
 
+def max_packing(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactPacking:
+    """Maximum-cardinality family of edge-disjoint k-cliques, exactly."""
+    if problem.kind != "clique":
+        raise ValueError(f"packing needs a clique problem, got kind {problem.kind!r}")
+    cliques = problem.structures
+    if not cliques:
+        return ExactPacking("optimal", (), 0, 0)
+
+    search = _PackingSearch(problem.row_masks, problem.edges_per_structure, node_budget)
+    if not search.run():
+        return ExactPacking("unsolved", None, None, search.nodes)
+
+    chosen = tuple(cliques[i] for i in search.best)
+    check_packing(problem.g, problem.k, chosen)
+    return ExactPacking("optimal", chosen, search.best_count, search.nodes)
+
+
 def exact_max_packing(
     g: WeightedGraph,
     k: int,
@@ -250,29 +251,8 @@ def exact_max_packing(
     max_structures: int = DEFAULT_MAX_STRUCTURES,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExactPacking:
-    """Maximum-cardinality family of edge-disjoint k-cliques, exactly."""
-    cliques = enumerate_k_cliques(g, k, max_structures)
-    if not cliques:
-        return ExactPacking("optimal", (), 0, 0)
-    matrix = build_incidence(g, cliques)
-    masks = []
-    for idx in matrix.row_edge_indices:
-        mask = 0
-        for e in idx:
-            mask |= 1 << e
-        masks.append(mask)
-
-    search = _PackingSearch(masks, k * (k - 1) // 2, node_budget)
-    if not search.run():
-        return ExactPacking("unsolved", None, None, search.nodes)
-
-    chosen = tuple(cliques[i] for i in search.best)
-    used = EdgeSet()
-    for s in chosen:
-        assert not (used & s.edges), "packing shares an edge"
-        used = used | s.edges
-    assert search.best_count <= g.edge_count // (k * (k - 1) // 2)
-    return ExactPacking("optimal", chosen, search.best_count, search.nodes)
+    """Maximum-cardinality family of edge-disjoint k-cliques; see max_packing."""
+    return max_packing(CoveringProblem(g, k, "clique", max_structures), node_budget)
 
 
 def sandwich_check(
@@ -286,20 +266,18 @@ def sandwich_check(
 
     The covering-versus-packing inequality nu <= tau <= C(k,2) * nu is a
     statement about cardinalities, so the covering number is computed with
-    unit weights regardless of the weights carried by `g`.
+    unit weights regardless of the weights carried by `g`.  Packing and
+    covering share one problem, so the cliques are enumerated once.
     """
     unit = WeightedGraph.build(g.vertices, [(u, v, 1) for u, v in g.edges])
-    packing = exact_max_packing(unit, k, max_structures=max_structures, node_budget=node_budget)
+    problem = CoveringProblem(unit, k, "clique", max_structures)
+    packing = max_packing(problem, node_budget)
     if not packing.solved:
         raise UnsolvedInstanceError(f"packing search exhausted {node_budget} nodes")
-    cover = exact_min_cover(
-        unit, k, "clique", max_structures=max_structures, node_budget=node_budget
-    )
+    cover = min_cover(problem, node_budget)
     if not cover.solved:
         raise UnsolvedInstanceError(f"cover search exhausted {node_budget} nodes")
-    nu = packing.count
-    tau = cover.weight
-    assert nu is not None and tau is not None
+    nu, tau = packing.count, cover.weight
     return nu, tau, nu <= tau <= math.comb(k, 2) * nu
 
 

@@ -161,15 +161,16 @@ def complete_graph(n: int, weight: int = 1) -> WeightedGraph:
     return WeightedGraph.build(range(n), edges)
 
 
-def parse_graph(text: str) -> WeightedGraph:
-    """Parse the edge-list format.
+def _scan_edge_list(text: str, shape: str) -> tuple[int, list[tuple[int, ...]]]:
+    """Vertex count and validated rows of an edge-list document.
 
-    First significant line is the vertex count n; every following line is
-    "u v w" with 0 <= u < v < n and integer w >= 1.  Lines starting with
-    '#' are comments.  Errors report the offending line number.
+    `shape` names the fields of a row: "u v w" for graphs, "u v" for
+    cover files.  Every row has 0 <= u < v < n, no row repeats an edge, and
+    a weight w, when present, is at least 1.
     """
+    fields = len(shape.split())
     n: int | None = None
-    rows: list[tuple[int, int, int]] = []
+    rows: list[tuple[int, ...]] = []
     seen: set[Edge] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -184,24 +185,36 @@ def parse_graph(text: str) -> WeightedGraph:
                 raise GraphFormatError(line_no, f"negative vertex count {n}")
             continue
         parts = line.split()
-        if len(parts) != 3:
-            raise GraphFormatError(line_no, f"expected 'u v w', got {line!r}")
+        if len(parts) != fields:
+            raise GraphFormatError(line_no, f"expected '{shape}', got {line!r}")
         try:
-            u, v, w = (int(p) for p in parts)
+            row = tuple(int(p) for p in parts)
         except ValueError:
             raise GraphFormatError(line_no, f"non-integer field in {line!r}")
+        u, v = row[:2]
         if u == v:
             raise GraphFormatError(line_no, f"self-loop at vertex {u}")
         if not (0 <= u < v < n):
             raise GraphFormatError(line_no, f"edge ({u}, {v}) violates 0 <= u < v < {n}")
-        if w < 1:
-            raise GraphFormatError(line_no, f"non-positive weight {w}")
+        if fields == 3 and row[2] < 1:
+            raise GraphFormatError(line_no, f"non-positive weight {row[2]}")
         if (u, v) in seen:
             raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-        rows.append((u, v, w))
+        rows.append(row)
     if n is None:
         raise GraphFormatError(1, "empty document: missing vertex count")
+    return n, rows
+
+
+def parse_graph(text: str) -> WeightedGraph:
+    """Parse the edge-list format.
+
+    First significant line is the vertex count n; every following line is
+    "u v w" with 0 <= u < v < n and integer w >= 1.  Lines starting with
+    '#' are comments.  Errors report the offending line number.
+    """
+    n, rows = _scan_edge_list(text, "u v w")
     return WeightedGraph.build(range(n), rows)
 
 
@@ -215,37 +228,8 @@ def serialize_graph(g: WeightedGraph) -> str:
 
 def parse_edge_set(text: str) -> tuple[int, EdgeSet]:
     """Parse a cover file: edge-list format without the weight column."""
-    n: int | None = None
-    pairs: list[Edge] = []
-    seen: set[Edge] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise GraphFormatError(line_no, f"expected vertex count, got {line!r}")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(line_no, f"expected 'u v', got {line!r}")
-        try:
-            u, v = (int(p) for p in parts)
-        except ValueError:
-            raise GraphFormatError(line_no, f"non-integer field in {line!r}")
-        if u == v:
-            raise GraphFormatError(line_no, f"self-loop at vertex {u}")
-        if not (0 <= u < v < n):
-            raise GraphFormatError(line_no, f"edge ({u}, {v}) violates 0 <= u < v < {n}")
-        if (u, v) in seen:
-            raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        pairs.append((u, v))
-    if n is None:
-        raise GraphFormatError(1, "empty document: missing vertex count")
-    return n, EdgeSet(pairs)
+    n, rows = _scan_edge_list(text, "u v")
+    return n, EdgeSet(rows)
 
 
 def serialize_edge_set(n: int, s: EdgeSet) -> str:

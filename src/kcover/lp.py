@@ -23,14 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 try:
     from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:
     from fractions import Fraction as _rat
 
+from .certificates import CertificateError, check_lp_certificate
 from .graph import Edge, WeightedGraph
-from .structures import IncidenceMatrix
+
+if TYPE_CHECKING:
+    from .structures import IncidenceMatrix
 
 PRICING_BATCH = 64
 
@@ -244,7 +248,7 @@ def solve_covering_lp(
     """Solve the covering LP exactly; deterministic for fixed input.
 
     Returns an optimal basic feasible solution together with a dual vector
-    whose objective equals the primal objective (strong duality, asserted
+    whose objective equals the primal objective (strong duality, checked
     exactly).  Feasibility, the box bounds, and the per-row pigeonhole
     bound max_e x_e >= 1/|row| are all checked in exact arithmetic.
     """
@@ -272,56 +276,20 @@ def solve_covering_lp(
     solution = FractionalSolution(
         values=dict(zip(g.edges, x)), objective=objective, dual=tuple(dual)
     )
-    _assert_certificate(m, g, solution, z)
+    check_lp_certificate(m.row_edge_indices, g.weights, x, objective, dual, z)
     return solution
-
-
-def _assert_certificate(
-    m: IncidenceMatrix,
-    g: WeightedGraph,
-    sol: FractionalSolution,
-    z: list[Fraction] | None = None,
-) -> None:
-    x = [sol.values[e] for e in g.edges]
-    assert all(0 <= v <= 1 for v in x), "box bounds violated"
-    for idx in m.row_edge_indices:
-        row_sum = sum(x[e] for e in idx)
-        assert row_sum >= 1, "cover constraint violated"
-        assert max(x[e] for e in idx) * len(idx) >= 1, "pigeonhole bound violated"
-    primal = sum(w * v for w, v in zip(g.weights, x))
-    assert primal == sol.objective, "objective mismatch"
-
-    assert len(sol.dual) == m.row_count
-    assert all(y >= 0 for y in sol.dual), "negative dual multiplier"
-    load = [Fraction(0)] * m.column_count
-    for idx, y in zip(m.row_edge_indices, sol.dual):
-        if y:
-            for e in idx:
-                load[e] += y
-    if z is None:
-        z = [max(Fraction(0), l - w) for l, w in zip(load, g.weights)]
-    else:
-        # The solver's own z must complete the basic equality A'y - z + t = w
-        # with a nonnegative slack t.
-        assert all(
-            w - l + ze >= 0 for w, l, ze in zip(g.weights, load, z)
-        ), "dual capacity violated"
-    dual_objective = sum(sol.dual, Fraction(0)) - sum(z, Fraction(0))
-    assert dual_objective == sol.objective, "strong duality violated"
 
 
 def check_certificate(m: IncidenceMatrix, g: WeightedGraph, sol: FractionalSolution) -> None:
     """Validate a solution produced elsewhere before reusing it.
 
-    Raises ValueError unless `sol` is feasible and its dual certificate
-    proves optimality for this exact system.
+    Raises CertificateError (a ValueError) unless `sol` is feasible and its
+    dual certificate proves optimality for this exact system.
     """
     if set(sol.values) != set(g.edges):
-        raise ValueError("solution is keyed by a different edge set")
-    try:
-        _assert_certificate(m, g, sol)
-    except AssertionError as exc:
-        raise ValueError(f"invalid LP certificate: {exc}") from None
+        raise CertificateError("solution is keyed by a different edge set")
+    x = [sol.values[e] for e in g.edges]
+    check_lp_certificate(m.row_edge_indices, g.weights, x, sol.objective, sol.dual)
 
 
 def format_lp(m: IncidenceMatrix, g: WeightedGraph) -> str:

@@ -1,4 +1,5 @@
-"""Enumeration of k-cycles and k-cliques, incidence rows, and cover checking.
+"""Enumeration of k-cycles and k-cliques, incidence rows, cover checking, and
+CoveringProblem, which owns all of them (and the LP optimum) for one instance.
 
 Every structure is carried in a canonical form so enumeration output is
 deterministic: a clique is its sorted vertex tuple; a cycle is rotated to
@@ -10,8 +11,11 @@ once, so no dedup pass is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
+from . import lp
 from .graph import Edge, EdgeSet, WeightedGraph, normalize_edge, remove_edges
 
 DEFAULT_MAX_STRUCTURES = 1_000_000
@@ -194,10 +198,7 @@ def build_incidence(
 
 def union_structure_edges(structures: Iterable[EdgeStructure]) -> EdgeSet:
     """Union of the edge sets of all given structures."""
-    out = EdgeSet()
-    for s in structures:
-        out = out | s.edges
-    return out
+    return EdgeSet(chain.from_iterable(s.edges for s in structures))
 
 
 def verify_cover(g: WeightedGraph, k: int, kind: str, s: EdgeSet) -> bool:
@@ -210,3 +211,63 @@ def verify_cover(g: WeightedGraph, k: int, kind: str, s: EdgeSet) -> bool:
     _check_kind(kind)
     h = remove_edges(g, s)
     return next(_structure_iterator(h, k, kind), None) is None
+
+
+class CoveringProblem:
+    """One covering instance (g, k, kind) and everything derived from it.
+
+    The structures, their incidence rows, the rows as edge bitmasks and the
+    certified LP optimum are each computed on first use and then kept, so
+    the rounding algorithms and the exact oracles run on one problem
+    enumerate once and solve the LP once.  Results built from a problem
+    never refer back to it.
+    """
+
+    def __init__(
+        self, g: WeightedGraph, k: int, kind: str, max_structures: int = DEFAULT_MAX_STRUCTURES
+    ):
+        _check_k(k)
+        _check_kind(kind)
+        self.g = g
+        self.k = k
+        self.kind = kind
+        self.max_structures = max_structures
+        self._solution: lp.FractionalSolution | None = None
+
+    @property
+    def edges_per_structure(self) -> int:
+        return self.k if self.kind == "cycle" else self.k * (self.k - 1) // 2
+
+    @cached_property
+    def structures(self) -> list[EdgeStructure]:
+        # Through the public names rather than _enumerate, so tracing that
+        # wraps those names (perfbench/spans.py) counts this enumeration.
+        enumerate_kind = enumerate_k_cycles if self.kind == "cycle" else enumerate_k_cliques
+        return enumerate_kind(self.g, self.k, self.max_structures)
+
+    @cached_property
+    def incidence(self) -> IncidenceMatrix:
+        return build_incidence(self.g, self.structures)
+
+    @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """Each row's edges as a bitmask over the graph's edge positions."""
+        return tuple(sum(1 << e for e in idx) for idx in self.incidence.row_edge_indices)
+
+    def solve(self, solution: lp.FractionalSolution | None = None) -> lp.FractionalSolution:
+        """The certified LP optimum, solved at most once.
+
+        A supplied `solution` is not trusted: its certificate is checked
+        against this problem's rows before it is kept and returned.
+        """
+        if solution is None:
+            if self._solution is None:
+                self._solution = lp.solve_covering_lp(self.incidence, self.g)
+        elif solution is not self._solution:
+            lp.check_certificate(self.incidence, self.g, solution)
+            self._solution = solution
+        return self._solution
+
+    def is_cover(self, s: EdgeSet) -> bool:
+        """Independent check by re-enumeration; see verify_cover."""
+        return verify_cover(self.g, self.k, self.kind, s)

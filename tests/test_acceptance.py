@@ -17,18 +17,13 @@ from math import comb, factorial
 import pytest
 
 from kcover.cli import main
-from kcover.cover import (
-    CoverResult,
-    cover_k_cliques_basic,
-    cover_k_cliques_improved,
-    cover_k_cycles_basic,
-    cover_k_cycles_odd,
-)
+from kcover.cover import CoverResult, round_basic, round_improved
 from kcover.exact import (
     ExactCover,
     UnsolvedInstanceError,
     exact_max_packing,
     exact_min_cover,
+    min_cover,
     sandwich_check,
     turan_tau_complete,
 )
@@ -42,9 +37,8 @@ from kcover.graph import (
     total_weight,
     two_coloring,
 )
-from kcover.lp import solve_covering_lp
 from kcover.structures import (
-    build_incidence,
+    CoveringProblem,
     enumerate_k_cliques,
     enumerate_k_cycles,
     verify_cover,
@@ -102,28 +96,15 @@ def sweep(corpus):
     for graph_id, g in corpus:
         cells = [("cycle", k) for k in CYCLE_KS] + [("clique", k) for k in CLIQUE_KS]
         for kind, k in cells:
-            enum = enumerate_k_cycles if kind == "cycle" else enumerate_k_cliques
-            structures = enum(g, k)
-            matrix = build_incidence(g, structures)
-            solution = solve_covering_lp(matrix, g)
-            if kind == "cycle":
-                runs = [
-                    cover_k_cycles_basic(g, k, solution=solution),
-                    cover_k_cycles_odd(g, k, solution=solution),
-                ]
-            else:
-                runs = [
-                    cover_k_cliques_basic(g, k, solution=solution),
-                    cover_k_cliques_improved(g, k, solution=solution),
-                ]
+            # One problem per cell: both roundings and the oracle share its
+            # structures and its LP optimum.
+            problem = CoveringProblem(g, k, kind)
+            runs = [round_basic(problem), round_improved(problem)]
+            row_count = len(problem.structures)
             oracle = None
-            if matrix.row_count <= ORACLE_ROW_CAP:
-                oracle = exact_min_cover(
-                    g, k, kind, node_budget=ORACLE_NODE_BUDGET
-                )
-            instances.append(
-                Instance(graph_id, g, kind, k, matrix.row_count, runs, oracle)
-            )
+            if row_count <= ORACLE_ROW_CAP:
+                oracle = min_cover(problem, node_budget=ORACLE_NODE_BUDGET)
+            instances.append(Instance(graph_id, g, kind, k, row_count, runs, oracle))
     elapsed = time.perf_counter() - started
     return instances, elapsed
 

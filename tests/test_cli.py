@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +159,55 @@ class TestExact:
         path.write_text(serialize_graph(complete_graph(7)))
         code, _ = run_cli(capsys, "exact", str(path), "--k", "3", "--kind", "cycle")
         assert code == 3
+
+
+class TestInputValidation:
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("name", ["KCOVER_NODE_BUDGET", "KCOVER_MAX_STRUCTURES"])
+    def test_non_integer_env_is_usage_error(self, capsys, k4_file, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        err = self.usage_error(capsys, "exact", k4_file, "--k", "3", "--kind", "cycle")
+        assert "'abc'" in err
+
+    def test_zero_node_budget_is_usage_error(self, capsys, k4_file):
+        self.usage_error(capsys, "exact", k4_file, "--k", "3", "--kind", "cycle", "--node-budget", "0")
+
+    def test_zero_max_structures_is_usage_error(self, capsys, k4_file):
+        self.usage_error(
+            capsys, "cover", k4_file, "--k", "3", "--kind", "cycle", "--max-structures", "0"
+        )
+
+    def test_bad_env_value_as_subprocess(self, k4_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kcover.cli", "exact", k4_file, "--k", "3", "--kind", "cycle"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "KCOVER_NODE_BUDGET": "abc"},
+        )
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_failed_certificate_exits_1(self, capsys, k4_file, monkeypatch):
+        import kcover.lp
+        from kcover.lp import FractionalSolution
+
+        def bogus(m, g, **kwargs):
+            zero = Fraction(0)
+            return FractionalSolution({e: zero for e in g.edges}, zero, (zero,) * m.row_count)
+
+        monkeypatch.setattr(kcover.lp, "solve_covering_lp", bogus)
+        code = main(["cover", k4_file, "--k", "3", "--kind", "cycle"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: certificate check failed:")
 
 
 class TestPack:

@@ -1,0 +1,144 @@
+import gc
+import subprocess
+import sys
+import weakref
+from fractions import Fraction
+
+import pytest
+
+import kcover.lp
+import kcover.structures
+from kcover.certificates import CertificateError, check_lp_certificate
+from kcover.cover import cover_k_cycles_basic, round_basic, round_improved
+from kcover.exact import exact_min_cover, max_packing, min_cover
+from kcover.graph import WeightedGraph, complete_graph
+from kcover.lp import solve_covering_lp
+from kcover.structures import CoveringProblem, build_incidence, enumerate_k_cycles
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def wheel(n):
+    """Hub 0 joined to a rim cycle 1..n-1, with varied weights."""
+    rim = [(i, i % (n - 1) + 1, 1 + i % 3) for i in range(1, n)]
+    spokes = [(0, i, 2 + i % 2) for i in range(1, n)]
+    return WeightedGraph.build(range(n), rim + spokes)
+
+
+class TestSharedProblem:
+    def test_one_enumeration_and_one_lp_solve(self, monkeypatch):
+        enumerations = counting(monkeypatch, kcover.structures, "_enumerate")
+        solves = counting(monkeypatch, kcover.lp, "solve_covering_lp")
+        problem = CoveringProblem(complete_graph(5), 3, "cycle")
+        basic = round_basic(problem)
+        improved = round_improved(problem)
+        oracle = min_cover(problem)
+        assert len(enumerations) == 1
+        assert len(solves) == 1
+        assert basic.lp_objective == improved.lp_objective <= oracle.weight <= basic.cover_weight
+
+    def test_same_results_as_the_wrappers(self):
+        g = wheel(8)
+        problem = CoveringProblem(g, 3, "cycle")
+        assert round_basic(problem) == cover_k_cycles_basic(g, 3)
+        assert min_cover(problem) == exact_min_cover(g, 3, "cycle")
+
+    def test_results_do_not_keep_the_problem_alive(self):
+        problem = CoveringProblem(wheel(7), 3, "clique")
+        ref = weakref.ref(problem)
+        result = round_improved(problem)
+        oracle = min_cover(problem)
+        del problem
+        gc.collect()
+        assert ref() is None
+        assert result.cover_weight >= oracle.weight
+
+    def test_supplied_solution_checked_then_kept(self, monkeypatch):
+        g = complete_graph(4)
+        sol = solve_covering_lp(build_incidence(g, enumerate_k_cycles(g, 3)), g)
+        solves = counting(monkeypatch, kcover.lp, "solve_covering_lp")
+        problem = CoveringProblem(g, 3, "cycle")
+        assert problem.solve(sol) is sol
+        assert problem.solve() is sol
+        assert solves == []
+
+    def test_rejects_bad_k_and_kind_up_front(self):
+        with pytest.raises(ValueError):
+            CoveringProblem(complete_graph(4), 2, "cycle")
+        with pytest.raises(ValueError):
+            CoveringProblem(complete_graph(4), 3, "path")
+
+    def test_improved_needs_odd_cycles(self):
+        with pytest.raises(ValueError, match="odd k"):
+            round_improved(CoveringProblem(complete_graph(5), 4, "cycle"))
+
+    def test_packing_needs_cliques(self):
+        with pytest.raises(ValueError):
+            max_packing(CoveringProblem(complete_graph(5), 3, "cycle"))
+
+
+class TestCertificates:
+    def test_bogus_solution_rejected_under_python_O(self):
+        script = (
+            "from fractions import Fraction\n"
+            "from kcover import CertificateError, FractionalSolution, complete_graph\n"
+            "from kcover import cover_k_cycles_basic\n"
+            "g = complete_graph(4)\n"
+            "zero = {e: Fraction(0) for e in g.edges}\n"
+            "bogus = FractionalSolution(zero, Fraction(0), (Fraction(0),) * 4)\n"
+            "try:\n"
+            "    cover_k_cycles_basic(g, 3, solution=bogus)\n"
+            "except CertificateError as exc:\n"
+            "    print('rejected:', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("rejected: LP certificate:")
+
+    def certificate(self, g, k=3):
+        m = build_incidence(g, enumerate_k_cycles(g, k))
+        sol = solve_covering_lp(m, g)
+        x = [sol.values[e] for e in g.edges]
+        return m.row_edge_indices, g.weights, x, sol.objective, list(sol.dual)
+
+    def test_solver_output_passes(self):
+        check_lp_certificate(*self.certificate(wheel(8)))
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda c: c[2].__setitem__(0, Fraction(3, 2)), "box"),
+            (lambda c: c.__setitem__(3, c[3] + Fraction(1, 7)), "objective"),
+            (lambda c: c[4].__setitem__(0, Fraction(-1, 3)), "negative dual"),
+            (lambda c: c.__setitem__(4, c[4][:-1]), "number of dual"),
+        ],
+    )
+    def test_tampering_rejected(self, tamper, message):
+        cert = list(self.certificate(complete_graph(5)))
+        tamper(cert)
+        with pytest.raises(CertificateError, match=message):
+            check_lp_certificate(*cert)
+
+    def test_weak_dual_fails_strong_duality(self):
+        rows, weights, x, objective, y = self.certificate(complete_graph(5))
+        with pytest.raises(CertificateError, match="strong duality"):
+            check_lp_certificate(rows, weights, x, objective, [v / 2 for v in y])
+
+    def test_explicit_z_must_respect_capacity(self):
+        rows, weights, x, objective, y = self.certificate(complete_graph(4))
+        overloaded = [v * 3 for v in y]
+        z = [Fraction(0)] * len(weights)
+        with pytest.raises(CertificateError, match="capacity"):
+            check_lp_certificate(rows, weights, x, objective, overloaded, z)
