@@ -29,15 +29,17 @@ def _scaled(values) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def check_lp_certificate(rows, weights, x, objective, y, z=None) -> None:
-    """Prove that x is optimal for min{w.x : Ax >= 1, 0 <= x <= 1} with dual (y, z).
+def check_lp_certificate(rows, weights, x, objective, y) -> tuple[int, list[int], int]:
+    """Prove that x is optimal for min{w.x : Ax >= 1, 0 <= x <= 1} with dual y.
 
     `rows` lists each row's column indices.  x is scaled to integers by the
-    LCM of its denominators and (y, z) by theirs, so every condition is
-    checked in int arithmetic: box, rows, the pigeonhole bound
-    max_e x_e >= 1/|row|, the primal objective, dual signs, dual capacity
-    A'y - z <= w and strong duality.  Without z the tightest z
-    (max(0, A'y - w) per column) is used.
+    LCM of its denominators and y by d, the LCM of its own, so every
+    condition is checked in int arithmetic: box, rows, the pigeonhole bound
+    max_e x_e >= 1/|row|, the primal objective, dual signs and strong
+    duality.  The upper-bound multipliers are the tightest ones,
+    z* = max(0, A'y - w) per column, so (y, z*) is dual feasible by
+    construction.  Returns the certified dual scaled by d, as
+    (d, [y * d], sum(z*) * d).
     """
     require(len(x) == len(weights), "LP certificate: wrong number of values")
     require(len(y) == len(rows), "LP certificate: wrong number of dual multipliers")
@@ -50,22 +52,17 @@ def check_lp_certificate(rows, weights, x, objective, y, z=None) -> None:
     require(primal * objective.denominator == objective.numerator * dx,
             "LP certificate: objective mismatch")
 
-    dy, ys = _scaled(list(y) + list(z or ()))
-    ys, zs = ys[: len(rows)], ys[len(rows):]
-    require(all(v >= 0 for v in ys + zs), "LP certificate: negative dual multiplier")
+    dy, ys = _scaled(y)
+    require(all(v >= 0 for v in ys), "LP certificate: negative dual multiplier")
     load = [0] * len(weights)
     for idx, v in zip(rows, ys):
         if v:
             for e in idx:
                 load[e] += v
-    if z is None:
-        zs = [max(0, l - w * dy) for l, w in zip(load, weights)]
-    else:
-        require(len(zs) == len(weights), "LP certificate: wrong number of bound multipliers")
-        require(all(w * dy - l + ze >= 0 for w, l, ze in zip(weights, load, zs)),
-                "LP certificate: dual capacity violated")
-    require((sum(ys) - sum(zs)) * objective.denominator == objective.numerator * dy,
+    offset = sum(l - w * dy for l, w in zip(load, weights) if l > w * dy)
+    require((sum(ys) - offset) * objective.denominator == objective.numerator * dy,
             "LP certificate: strong duality violated")
+    return dy, ys, offset
 
 
 def check_cover(problem, result) -> None:

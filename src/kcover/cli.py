@@ -31,6 +31,7 @@ from .exact import (
     exact_min_cover,
 )
 from .graph import EdgeSet, GraphFormatError, complete_graph, parse_edge_set, parse_graph
+from .graph import _foreign_edges
 from .structures import DEFAULT_MAX_STRUCTURES, EnumerationCapError, verify_cover
 
 EXIT_OK = 0
@@ -186,8 +187,7 @@ def cmd_ratio_study(args) -> int:
 def cmd_verify(args) -> int:
     g = parse_graph(_read(args.file))
     _, cover = parse_edge_set(_read(args.cover_file))
-    foreign = [e for e in cover if e not in g.edge_set()]
-    if foreign:
+    if foreign := _foreign_edges(g, cover):
         listed = ",".join(f"{u}-{v}" for u, v in foreign)
         raise ValueError(f"cover contains edges not in the graph: {listed}")
     feasible = verify_cover(g, args.k, args.kind, cover)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import lp
 from .certificates import check_exact_cover, check_packing
 from .graph import EdgeSet, WeightedGraph
 from .structures import DEFAULT_MAX_STRUCTURES, CoveringProblem, EdgeStructure
@@ -63,18 +63,20 @@ class _CoverSearch:
     are handled for free); its candidate edges are tried in descending
     weight.  Branch i commits edge i and forbids edges 0..i-1, so subtrees
     are disjoint.  Lower bound: max of a greedy edge-disjoint-row bound and
-    a bound inherited from the root LP dual (y*, z*): restricting y* to the
+    a bound inherited from the root LP dual (y*, z*) as certified by
+    check_lp_certificate, scaled by d to integers: restricting y* to the
     still-uncovered rows stays dual-feasible for the residual system once
     the constant upper-bound slack sum(z*) is paid, so
-    sum(y* over uncovered) - sum(z*) lower-bounds any completion.
+    ceil((sum(y*d over uncovered) - sum(z*d)) / d) lower-bounds any
+    completion.  The sums are ints, so no node does rational arithmetic.
     """
 
-    def __init__(self, row_masks, row_edges, weights, duals, dual_offset, budget):
+    def __init__(self, row_masks, row_edges, weights, dual, budget):
         self.row_masks = row_masks
         self.row_edges = row_edges  # per row: edge ids sorted by (-weight, id)
         self.weights = weights
+        self.dual_scale, duals, self.dual_offset = dual  # d, [y* d], sum(z*) d
         self.nonzero_duals = [(i, y) for i, y in enumerate(duals) if y > 0]
-        self.dual_offset = dual_offset  # sum of z* = max(0, dual load - w)
         self.budget = budget
         self.nodes = 0
         self.best_weight: int | None = None
@@ -120,15 +122,13 @@ class _CoverSearch:
 
         bound = greedy_bound
         if self.nonzero_duals:
+            d = self.dual_scale
             dual_sum = (
-                sum(
-                    (y for r, y in self.nonzero_duals if not self.row_masks[r] & chosen),
-                    Fraction(0),
-                )
+                sum(y for r, y in self.nonzero_duals if not self.row_masks[r] & chosen)
                 - self.dual_offset
             )
-            if dual_sum > bound:
-                bound = math.ceil(dual_sum)
+            if dual_sum > bound * d:
+                bound = -(-dual_sum // d)
         if self.best_weight is not None and cost + bound >= self.best_weight:
             return
 
@@ -153,19 +153,9 @@ def min_cover(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) 
     weights = g.weights
     rows = problem.incidence.row_edge_indices
     row_edges = [tuple(sorted(idx, key=lambda e: (-weights[e], e))) for idx in rows]
+    dual = lp.check_certificate(problem.incidence, g, relaxation)
 
-    load = [Fraction(0)] * g.edge_count
-    for idx, y in zip(rows, relaxation.dual):
-        if y:
-            for e in idx:
-                load[e] += y
-    dual_offset = sum(
-        (l - w for l, w in zip(load, weights) if l > w), Fraction(0)
-    )
-
-    search = _CoverSearch(
-        problem.row_masks, row_edges, weights, relaxation.dual, dual_offset, node_budget
-    )
+    search = _CoverSearch(problem.row_masks, row_edges, weights, dual, node_budget)
     if not search.run():
         return ExactCover("unsolved", None, None, search.nodes)
 

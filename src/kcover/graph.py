@@ -13,6 +13,10 @@ from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
+# Largest vertex count an edge-list document may declare; the parser
+# materialises every vertex, so a larger header is rejected up front.
+MAX_VERTICES = 1_000_000
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list document; knows which line failed."""
@@ -183,6 +187,8 @@ def _scan_edge_list(text: str, shape: str) -> tuple[int, list[tuple[int, ...]]]:
                 raise GraphFormatError(line_no, f"expected vertex count, got {line!r}")
             if n < 0:
                 raise GraphFormatError(line_no, f"negative vertex count {n}")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(line_no, f"vertex count {n} exceeds cap {MAX_VERTICES}")
             continue
         parts = line.split()
         if len(parts) != fields:
@@ -238,10 +244,15 @@ def serialize_edge_set(n: int, s: EdgeSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _foreign_edges(g: WeightedGraph, s: EdgeSet) -> list[Edge]:
+    """The edges of `s` that `g` lacks, in sorted order."""
+    index = g.edge_index
+    return [e for e in s if e not in index]
+
+
 def remove_edges(g: WeightedGraph, s: EdgeSet) -> WeightedGraph:
     """Graph on the same vertices with the edges of `s` deleted."""
-    if not s.issubset(g.edge_set()):
-        extra = [e for e in s if e not in g.edge_set()]
+    if extra := _foreign_edges(g, s):
         raise ValueError(f"edges not in graph: {extra}")
     kept = [(u, v, w) for (u, v), w in zip(g.edges, g.weights) if (u, v) not in s]
     return WeightedGraph.build(g.vertices, kept)
@@ -252,8 +263,7 @@ def edge_induced_subgraph(g: WeightedGraph, s: EdgeSet) -> WeightedGraph:
 
     The empty edge set yields the empty graph; isolated vertices are dropped.
     """
-    if not s.issubset(g.edge_set()):
-        extra = [e for e in s if e not in g.edge_set()]
+    if extra := _foreign_edges(g, s):
         raise ValueError(f"edges not in graph: {extra}")
     verts = {u for e in s for u in e}
     return WeightedGraph.build(verts, [(u, v, g.weight((u, v))) for u, v in s])

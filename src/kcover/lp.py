@@ -265,31 +265,31 @@ def solve_covering_lp(
 
     x = [_to_fraction(pi) for pi in tableau.pi]
     dual = [Fraction(0)] * m.row_count
-    z = [Fraction(0)] * m.column_count
     for i, b in enumerate(tableau.basis):
         if b < tableau.m:
             dual[b] = _to_fraction(tableau.rhs[i])
-        elif b < tableau.m + tableau.n:
-            z[b - tableau.m] = _to_fraction(tableau.rhs[i])
     objective = _to_fraction(tableau.dval)
 
     solution = FractionalSolution(
         values=dict(zip(g.edges, x)), objective=objective, dual=tuple(dual)
     )
-    check_lp_certificate(m.row_edge_indices, g.weights, x, objective, dual, z)
+    check_lp_certificate(m.row_edge_indices, g.weights, x, objective, dual)
     return solution
 
 
-def check_certificate(m: IncidenceMatrix, g: WeightedGraph, sol: FractionalSolution) -> None:
+def check_certificate(
+    m: IncidenceMatrix, g: WeightedGraph, sol: FractionalSolution
+) -> tuple[int, list[int], int]:
     """Validate a solution produced elsewhere before reusing it.
 
     Raises CertificateError (a ValueError) unless `sol` is feasible and its
-    dual certificate proves optimality for this exact system.
+    dual certificate proves optimality for this exact system.  Returns the
+    certified dual scaled to integers; see check_lp_certificate.
     """
     if set(sol.values) != set(g.edges):
         raise CertificateError("solution is keyed by a different edge set")
     x = [sol.values[e] for e in g.edges]
-    check_lp_certificate(m.row_edge_indices, g.weights, x, sol.objective, sol.dual)
+    return check_lp_certificate(m.row_edge_indices, g.weights, x, sol.objective, sol.dual)
 
 
 def format_lp(m: IncidenceMatrix, g: WeightedGraph) -> str:
@@ -302,7 +302,7 @@ def format_lp(m: IncidenceMatrix, g: WeightedGraph) -> str:
     lines.append(f" obj: {terms if terms else '0'}")
     lines.append("Subject To")
     for s, idx in zip(m.rows, m.row_edge_indices):
-        row_name = "s_" + "_".join(str(v) for v in s.canonical_key)
+        row_name = "s_" + "_".join(str(v) for v in s.vertices)
         row_terms = " + ".join(names[e] for e in idx)
         lines.append(f" {row_name}: {row_terms} >= 1")
     lines.append("Bounds")

@@ -57,10 +57,6 @@ class EdgeStructure:
         return len(self.vertices)
 
     @property
-    def canonical_key(self) -> tuple[int, ...]:
-        return self.vertices
-
-    @property
     def edges(self) -> EdgeSet:
         vs = self.vertices
         if self.kind == "cycle":
@@ -77,7 +73,8 @@ def _iter_k_cycle_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
 
     Paths grow only from each cycle's minimum vertex and only through larger
     vertices, closing back to the root at depth k; orientation is fixed by
-    requiring the second vertex to be smaller than the last.
+    requiring the second vertex to be smaller than the last.  A root needs
+    at least k-1 larger vertices, so the last k-1 vertices start no path.
     """
     path: list[int] = []
     on_path: set[int] = set()
@@ -96,7 +93,7 @@ def _iter_k_cycle_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
                 path.pop()
                 on_path.remove(nxt)
 
-    for root in g.vertices:
+    for root in g.vertices[: max(0, g.vertex_count - k + 1)]:
         path = [root]
         on_path = {root}
         yield from dfs(root)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kcover.cli import main
-from kcover.graph import complete_graph, serialize_graph
+from kcover.graph import MAX_VERTICES, complete_graph, serialize_graph
 
 K4 = "4\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
 TRIANGLE = "3\n0 1 1\n0 2 1\n1 2 1\n"
@@ -110,6 +110,12 @@ class TestCover:
         bad.write_text("3\n0 0 1\n")
         code, _ = run_cli(capsys, "cover", str(bad), "--k", "3", "--kind", "cycle")
         assert code == 2
+
+    def test_vertex_count_above_cap_is_usage_error(self, capsys, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text(f"{MAX_VERTICES + 1}\n")
+        assert main(["cover", str(huge), "--k", "3", "--kind", "cycle"]) == 2
+        assert "line 1: vertex count" in capsys.readouterr().err
 
     def test_k_below_three_is_usage_error(self, capsys, k4_file):
         code, _ = run_cli(capsys, "cover", k4_file, "--k", "2", "--kind", "cycle")
@@ -318,11 +324,12 @@ class TestVerify:
 
     def test_foreign_edges_rejected(self, capsys, triangle_file, tmp_path):
         cover = tmp_path / "cover.txt"
-        cover.write_text("5\n3 4\n")
-        code, _ = run_cli(
-            capsys, "verify", triangle_file, "--k", "3", "--kind", "cycle", "--cover-file", str(cover)
+        cover.write_text("5\n3 4\n0 1\n2 4\n")
+        code = main(
+            ["verify", triangle_file, "--k", "3", "--kind", "cycle", "--cover-file", str(cover)]
         )
         assert code == 2
+        assert "cover contains edges not in the graph: 2-4,3-4" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -173,6 +173,23 @@ class TestExactMinCover:
         assert res.cover is None and res.weight is None
         assert res.node_count > 3
 
+    # `kcover exact` prints node_count as nodes=; a change to branching or
+    # pruning must show up here.
+    @pytest.mark.parametrize(
+        "g, k, kind, weight, nodes",
+        [
+            (complete_graph(5), 3, "clique", 4, 22),
+            (complete_graph(6), 3, "clique", 6, 76),
+            (complete_graph(7), 3, "clique", 9, 248),
+            (random_graph(random.Random(2), 8, 0.6), 5, "cycle", 12, 198),
+            (random_graph(random.Random(4), 9, 0.5), 5, "cycle", 25, 791),
+        ],
+        ids=["K5", "K6", "K7", "seed2-n8", "seed4-n9"],
+    )
+    def test_node_counts_pinned(self, g, k, kind, weight, nodes):
+        res = exact_min_cover(g, k, kind)
+        assert (res.status, res.weight, res.node_count) == ("optimal", weight, nodes)
+
     def test_deterministic(self):
         rng = random.Random(3)
         g = random_graph(rng, 7, 0.8)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kcover.graph import (
+    MAX_VERTICES,
     EdgeSet,
     GraphFormatError,
     WeightedGraph,
@@ -79,6 +80,12 @@ class TestParse:
         g = parse_graph("5\n0 1 1")
         assert g.vertices == (0, 1, 2, 3, 4)
 
+    def test_vertex_count_above_cap_rejected(self):
+        for parse in (parse_graph, parse_edge_set):
+            with pytest.raises(GraphFormatError, match="exceeds cap") as exc:
+                parse(f"# header only\n{MAX_VERTICES + 1}\n")
+            assert exc.value.line_no == 2
+
     def test_zero_vertex_document(self):
         g = parse_graph("0\n")
         assert g.vertices == () and g.edges == ()
@@ -138,8 +145,9 @@ class TestGraphOps:
 
     def test_remove_foreign_edge_rejected(self):
         g = complete_graph(3)
-        with pytest.raises(ValueError):
-            remove_edges(g, EdgeSet([(0, 4)]))
+        for edit in (remove_edges, edge_induced_subgraph):
+            with pytest.raises(ValueError, match=r"edges not in graph: \[\(1, 5\), \(3, 4\)\]"):
+                edit(g, EdgeSet([(0, 1), (4, 3), (5, 1)]))
 
     def test_induced_triangle_of_k4(self):
         g = complete_graph(4)

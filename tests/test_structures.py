@@ -65,6 +65,20 @@ class TestCycleEnumeration:
         g = WeightedGraph.build(range(3), [(0, 1, 1), (1, 2, 1)])
         assert enumerate_k_cycles(g, 3) == []
 
+    def test_k_above_vertex_count_starts_no_path(self, monkeypatch):
+        calls = []
+        neighbors = WeightedGraph.neighbors
+
+        def counting(g, v):
+            calls.append(v)
+            return neighbors(g, v)
+
+        monkeypatch.setattr(WeightedGraph, "neighbors", counting)
+        g = complete_graph(8)
+        assert enumerate_k_cycles(g, 9) == []
+        assert verify_cover(g, 9, "cycle", EdgeSet())
+        assert calls == []
+
     def test_closed_form_counts_on_complete_graphs(self):
         for n in range(3, 8):
             g = complete_graph(n)
@@ -91,7 +105,7 @@ class TestCycleEnumeration:
 
     def test_canonical_keys_unique_and_sorted(self):
         cycles = enumerate_k_cycles(complete_graph(7), 5)
-        keys = [c.canonical_key for c in cycles]
+        keys = [c.vertices for c in cycles]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
 
