@@ -32,7 +32,12 @@ from .exact import (
 )
 from .graph import EdgeSet, GraphFormatError, complete_graph, parse_edge_set, parse_graph
 from .graph import _foreign_edges
-from .structures import DEFAULT_MAX_STRUCTURES, EnumerationCapError, verify_cover
+from .structures import (
+    DEFAULT_MAX_STRUCTURES,
+    EnumerationCapError,
+    complete_graph_structure_count,
+    verify_cover,
+)
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
@@ -151,6 +156,10 @@ def cmd_ratio_study(args) -> int:
         raise ValueError(f"--n-range must be MIN:MAX, got {args.n_range!r}")
     if lo > hi or lo < 1:
         raise ValueError(f"invalid n range {lo}:{hi}")
+    # Counts grow with n, so the largest n decides before any K_n is built.
+    cap = args.max_structures
+    if complete_graph_structure_count(hi, args.k, args.kind, cap) > cap:
+        raise EnumerationCapError(args.kind, args.k, cap)
 
     rows = []
     for n in range(lo, hi + 1):

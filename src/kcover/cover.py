@@ -28,7 +28,7 @@ from .lp import FractionalSolution
 from .structures import DEFAULT_MAX_STRUCTURES, CoveringProblem, union_structure_edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bipartition:
     """Two-coloring of a subgraph keeping at least half the weight in the cut."""
 
@@ -38,7 +38,7 @@ class Bipartition:
     inner_edges: EdgeSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverParts:
     """Decomposition of an improved-algorithm cover.
 
@@ -54,7 +54,7 @@ class CoverParts:
     bipartition: Bipartition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverResult:
     """A feasible cover with its LP lower bound and certified ratio."""
 

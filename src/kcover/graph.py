@@ -6,6 +6,7 @@ Instances are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,15 +34,25 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-class EdgeSet:
-    """Immutable set of undirected edges with sorted, deterministic iteration."""
+def _canonical(pair: tuple[int, int]) -> Edge:
+    """`pair` itself when it is already a canonical edge tuple, else its (min, max) form."""
+    u, v = pair
+    if u < v and type(pair) is tuple:
+        return pair
+    return normalize_edge(u, v)
 
-    __slots__ = ("edges", "_members")
+
+class EdgeSet:
+    """Immutable set of undirected edges with sorted, deterministic iteration.
+
+    The sorted tuple of canonical edges is the only stored form: membership
+    is a binary search, and the set algebra builds temporary sets.
+    """
+
+    __slots__ = ("edges",)
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        members = frozenset(normalize_edge(u, v) for u, v in pairs)
-        object.__setattr__(self, "edges", tuple(sorted(members)))
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "edges", tuple(sorted({_canonical(p) for p in pairs})))
 
     def __setattr__(self, name, value):
         raise AttributeError("EdgeSet is immutable")
@@ -57,25 +68,28 @@ class EdgeSet:
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
         u, v = edge
-        return (u, v) in self._members or (v, u) in self._members
+        e = (u, v) if u < v else (v, u)
+        edges = self.edges
+        i = bisect_left(edges, e)
+        return i < len(edges) and edges[i] == e
 
     def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self._members | other._members)
+        return EdgeSet(set(self.edges).union(other.edges))
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self._members & other._members)
+        return EdgeSet(set(self.edges).intersection(other.edges))
 
     def __sub__(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self._members - other._members)
+        return EdgeSet(set(self.edges).difference(other.edges))
 
     def issubset(self, other: "EdgeSet") -> bool:
-        return self._members <= other._members
+        return set(other.edges).issuperset(self.edges)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeSet) and self._members == other._members
+        return isinstance(other, EdgeSet) and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self.edges)
 
     def __repr__(self) -> str:
         return f"EdgeSet({list(self.edges)!r})"
@@ -254,7 +268,8 @@ def remove_edges(g: WeightedGraph, s: EdgeSet) -> WeightedGraph:
     """Graph on the same vertices with the edges of `s` deleted."""
     if extra := _foreign_edges(g, s):
         raise ValueError(f"edges not in graph: {extra}")
-    kept = [(u, v, w) for (u, v), w in zip(g.edges, g.weights) if (u, v) not in s]
+    drop = set(s.edges)
+    kept = [(u, v, w) for (u, v), w in zip(g.edges, g.weights) if (u, v) not in drop]
     return WeightedGraph.build(g.vertices, kept)
 
 
@@ -265,8 +280,11 @@ def edge_induced_subgraph(g: WeightedGraph, s: EdgeSet) -> WeightedGraph:
     """
     if extra := _foreign_edges(g, s):
         raise ValueError(f"edges not in graph: {extra}")
-    verts = {u for e in s for u in e}
-    return WeightedGraph.build(verts, [(u, v, g.weight((u, v))) for u, v in s])
+    # The edges are g's own tuples and weights, so build's checks hold already.
+    positions = [g.edge_index[e] for e in s]
+    edges = tuple(g.edges[i] for i in positions)
+    verts = tuple(sorted({u for e in edges for u in e}))
+    return WeightedGraph(verts, edges, tuple(g.weights[i] for i in positions))
 
 
 def total_weight(g: WeightedGraph, s: EdgeSet) -> int:

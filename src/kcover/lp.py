@@ -1,8 +1,11 @@
 """Exact rational solver for the covering relaxation min{w.x : Ax >= 1, 0 <= x <= 1}.
 
-All arithmetic is over exact rationals (GMP rationals when gmpy2 is
-available, stdlib fractions otherwise), so threshold comparisons made by
-the rounding algorithms are never subject to floating-point ties.
+All arithmetic is exact, so threshold comparisons made by the rounding
+algorithms are never subject to floating-point ties.  The basis inverse and
+its right-hand side are rationals (GMP rationals when gmpy2 is available,
+stdlib fractions otherwise); the simplex multipliers are Python ints over
+one common denominator, so pricing every structure row, the hot loop, adds
+ints instead of rationals.
 
 The system has one row per k-structure and one column per edge; dense
 instances can carry thousands of rows but only |E| columns.  The solver
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 try:
@@ -47,7 +52,7 @@ def _to_fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FractionalSolution:
     """Exact optimal solution of the covering LP with its dual certificate.
 
@@ -69,6 +74,15 @@ class _DualSimplex:
     costs come from the multipliers pi: a structure column prices to
     sum(pi over its edges) - 1, an upper-bound column to 1 - pi_e, a slack
     to pi_e; at optimality pi is exactly the primal solution x*.
+
+    pi is kept as Python ints `pi` over their least common denominator
+    `pi_den`, and every reduced cost is handled multiplied by pi_den: a
+    structure column is sum(pi[e] for e in row) - pi_den, a z column
+    pi_den - pi[e] (eligible when pi[e] > pi_den), a t column pi[e]
+    (eligible when pi[e] < 0).  pi_den > 0, so every comparison, and so
+    every pivot, is the one the rational values would give.  Each pivot
+    forms the rational update pi - (rc / pi_den) * (pivot row) once and
+    rescales it to ints over the new least common denominator.
 
     Entering rule: Dantzig (most negative reduced cost) with ties broken by
     the global column order y_0..y_{m-1}, z_0..z_{n-1}, t_0..t_{n-1}; after
@@ -97,7 +111,9 @@ class _DualSimplex:
             [one if j == i else zero for j in range(self.n)] for i in range(self.n)
         ]
         self.rhs = [_rat(w) for w in weights]
-        self.pi = [zero] * self.n
+        # pi_e = pi[e] / pi_den, Python ints over their least common denominator.
+        self.pi = [0] * self.n
+        self.pi_den = 1
         self.dval = zero
         self.active: list[int] = []
         self.inactive = list(range(self.m))
@@ -107,47 +123,35 @@ class _DualSimplex:
 
     # -- pricing -------------------------------------------------------------
 
-    def _reduced_cost(self, ent: int):
-        m, n = self.m, self.n
-        if ent < m:
-            return sum((self.pi[e] for e in self.rows[ent]), -self.one)
-        if ent < m + n:
-            return self.one - self.pi[ent - m]
-        return self.pi[ent - m - n]
+    def _violated(self, columns: list[int]) -> list[tuple[int, int]]:
+        """(reduced cost * pi_den, s) of each structure column s that prices negative."""
+        pi, den, rows = self.pi, self.pi_den, self.rows
+        return [(rc, s) for s in columns if (rc := sum(pi[e] for e in rows[s]) - den) < 0]
 
-    def _choose_entering(self) -> int | None:
-        m, n = self.m, self.n
-        bland = self.degenerate_run >= self.DEGENERATE_SWITCH
-        best_id: int | None = None
-        best_rc = None
-        for s in self.active:
-            rc = sum((self.pi[e] for e in self.rows[s]), -self.one)
-            if rc < 0:
-                if bland:
-                    if best_id is None or s < best_id:
-                        best_id = s
-                else:
-                    if best_rc is None or rc < best_rc or (rc == best_rc and s < best_id):
-                        best_id, best_rc = s, rc
-        if bland and best_id is not None:
-            return best_id  # y ids precede every z and t id
-        t_first: int | None = None
+    def _choose_entering(self) -> tuple[int, int] | None:
+        """The entering column and its reduced cost * pi_den, or None at optimality."""
+        m, n, den = self.m, self.n, self.pi_den
+        violated = self._violated(self.active)
+        if self.degenerate_run >= self.DEGENERATE_SWITCH:  # Bland
+            if violated:
+                rc, s = min(violated, key=itemgetter(1))
+                return s, rc  # y ids precede every z and t id
+            t_first: int | None = None
+            for e, pi in enumerate(self.pi):
+                if pi > den:
+                    return m + e, den - pi  # first eligible z; z ids precede all t ids
+                if pi < 0 and t_first is None:
+                    t_first = e
+            return None if t_first is None else (m + n + t_first, self.pi[t_first])
+        best_rc, best_id = min(violated) if violated else (None, None)
         for e, pi in enumerate(self.pi):
-            if pi > 1:
-                rc = self.one - pi
-                if bland:
-                    return m + e  # first eligible z; z ids precede all t ids
+            if pi > den:
+                rc = den - pi
                 if best_rc is None or rc < best_rc:
                     best_id, best_rc = m + e, rc
-            elif pi < 0:
-                if bland:
-                    if t_first is None:
-                        t_first = e
-                elif best_rc is None or pi < best_rc:
-                    best_id, best_rc = m + n + e, pi
-        if bland and best_id is None and t_first is not None:
-            return m + n + t_first
-        return best_id
+            elif pi < 0 and (best_rc is None or pi < best_rc):
+                best_id, best_rc = m + n + e, pi
+        return None if best_id is None else (best_id, best_rc)
 
     def _column(self, ent: int) -> list:
         m, n = self.m, self.n
@@ -183,8 +187,7 @@ class _DualSimplex:
             )
         return best_i
 
-    def _pivot(self, r: int, ent: int, col: list) -> None:
-        f0 = self._reduced_cost(ent)
+    def _pivot(self, r: int, ent: int, rc: int, col: list) -> None:
         piv = col[r]
         inv = self.one / piv
         prow = [v * inv if v else v for v in self.binv[r]]
@@ -198,8 +201,15 @@ class _DualSimplex:
             if f:
                 self.binv[i] = [a - f * b if b else a for a, b in zip(self.binv[i], prow)]
                 self.rhs[i] = self.rhs[i] - f * prow_rhs
-        self.pi = [a - f0 * b if b else a for a, b in zip(self.pi, prow)]
-        self.dval = self.dval - f0 * prow_rhs
+        # pi' = pi - (rc / pi_den) * prow; over pi_den its numerators are pi - rc * prow.
+        num = [p - rc * b if b else p for p, b in zip(self.pi, prow)]
+        scale = lcm(*(int(q.denominator) for q in num))
+        num = [int(q * scale) for q in num]
+        den = self.pi_den * scale
+        common = gcd(den, *num)
+        self.dval = self.dval - _rat(rc, self.pi_den) * prow_rhs
+        self.pi = [q // common for q in num]
+        self.pi_den = den // common
         self.basis[r] = ent
         self.pivots += 1
         if prow_rhs == 0:
@@ -211,11 +221,7 @@ class _DualSimplex:
 
     def _price_and_activate(self) -> bool:
         """Price inactive structure columns; activate the most violated batch."""
-        violated: list[tuple[object, int]] = []
-        for s in self.inactive:
-            rc = sum((self.pi[e] for e in self.rows[s]), -self.one)
-            if rc < 0:
-                violated.append((rc, s))
+        violated = self._violated(self.inactive)
         if not violated:
             return False
         violated.sort()
@@ -227,8 +233,8 @@ class _DualSimplex:
 
     def run(self, pivot_limit: int) -> None:
         while True:
-            ent = self._choose_entering()
-            if ent is None:
+            entering = self._choose_entering()
+            if entering is None:
                 if self._price_and_activate():
                     continue
                 return
@@ -237,9 +243,10 @@ class _DualSimplex:
                     f"pivot cap {pivot_limit} exceeded; anti-cycling rule "
                     "should make this unreachable"
                 )
+            ent, rc = entering
             col = self._column(ent)
             r = self._choose_leaving(col)
-            self._pivot(r, ent, col)
+            self._pivot(r, ent, rc, col)
 
 
 def solve_covering_lp(
@@ -263,7 +270,7 @@ def solve_covering_lp(
     tableau = _DualSimplex(m.row_edge_indices, g.weights)
     tableau.run(pivot_limit)
 
-    x = [_to_fraction(pi) for pi in tableau.pi]
+    x = [Fraction(p, tableau.pi_den) for p in tableau.pi]
     dual = [Fraction(0)] * m.row_count
     for i, b in enumerate(tableau.basis):
         if b < tableau.m:

@@ -156,6 +156,32 @@ def enumerate_k_cliques(
     return _enumerate(g, k, "clique", max_structures)
 
 
+def complete_graph_structure_count(n: int, k: int, kind: str, cap: int) -> int:
+    """The number of k-structures of K_n, or cap + 1 once it is known to exceed cap.
+
+    Closed forms: C(n, k) cliques and C(n, k)(k-1)!/2 = n!/((n-k)! 2k)
+    cycles.  The running products stop as soon as they pass the cap, so a
+    huge n or k costs a few steps rather than a huge integer.
+    """
+    _check_k(k)
+    _check_kind(kind)
+    if k > n:
+        return 0
+    if kind == "clique":
+        count = 1
+        for j in range(1, min(k, n - k) + 1):  # C(n, j) grows while j <= n/2
+            count = count * (n - j + 1) // j
+            if count > cap:
+                return cap + 1
+        return count
+    falling = 1
+    for j in range(k):
+        falling *= n - j
+        if falling > 2 * k * cap:
+            return cap + 1
+    return falling // (2 * k)
+
+
 @dataclass(frozen=True)
 class IncidenceMatrix:
     """Structure-edge incidence: rows are structures, columns the graph's edges.

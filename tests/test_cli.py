@@ -265,6 +265,24 @@ class TestRatioStudy:
         assert code == 3
         assert "status=unsolved" in out
 
+    @pytest.mark.parametrize("kind", ["clique", "cycle"])
+    def test_huge_n_rejected_before_building(self, capsys, monkeypatch, kind):
+        def refuse(n, weight=1):
+            raise AssertionError(f"K_{n} built")
+
+        monkeypatch.setattr("kcover.cli.complete_graph", refuse)
+        code = main(["ratio-study", "--k", "3", "--kind", kind, "--n-range", "100000:100000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: more than 1000000 3-")
+
+    def test_cap_counts_the_largest_n(self, capsys):
+        # K6 has 20 triangles and 45 4-cycles; K5 has 10 and 15.
+        for kind, k, cap, code in (("clique", 3, 19, 3), ("clique", 3, 20, 0),
+                                   ("cycle", 4, 44, 3), ("cycle", 4, 45, 0)):
+            argv = ["--k", str(k), "--kind", kind, "--n-range", "5:6", "--max-structures", str(cap)]
+            assert run_cli(capsys, "ratio-study", *argv)[0] == code
+
     def test_bad_range(self, capsys):
         code, _ = run_cli(capsys, "ratio-study", "--k", "3", "--kind", "clique", "--n-range", "9")
         assert code == 2

@@ -128,6 +128,38 @@ class TestEdgeSet:
         with pytest.raises(ValueError):
             EdgeSet([(1, 1)])
 
+    def test_reversed_pair_membership(self):
+        s = EdgeSet([(3, 1), (0, 2)])
+        assert (1, 3) in s and (3, 1) in s and (2, 0) in s
+        assert (0, 1) not in s and (3, 3) not in s and (9, 0) not in s
+        assert (0, 0) not in EdgeSet()
+
+    def test_equality_and_hash_across_orientations(self):
+        a = EdgeSet([(0, 1), (2, 1), (3, 0)])
+        b = EdgeSet([(1, 2), (0, 3), (1, 0), (2, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert len(b) == 3
+        assert a != EdgeSet([(0, 1), (1, 2)]) and a != a.edges
+        assert {a: "x"}[b] == "x"
+
+    def test_algebra_results_are_canonical_edge_sets(self):
+        a = EdgeSet([(1, 0), (2, 1), (4, 3)])
+        b = EdgeSet([(2, 1), (3, 2), (3, 4)])
+        assert (a | b).edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+        assert (a & b).edges == ((1, 2), (3, 4))
+        assert (a - b).edges == ((0, 1),)
+        assert (b - a).edges == ((2, 3),)
+        assert (a - a) == EdgeSet() and not (a - a)
+        assert (a & b).issubset(b) and not a.issubset(b)
+        assert EdgeSet().issubset(a)
+
+    def test_reuses_canonical_edge_tuples(self):
+        g = complete_graph(5)
+        s = EdgeSet(g.edges)
+        assert all(s.edges[i] is g.edges[i] for i in range(g.edge_count))
+        assert (s | EdgeSet([(4, 0)])).edges[3] is g.edges[3]
+        assert EdgeSet([[0, 1]]).edges == ((0, 1),)
+
 
 class TestGraphOps:
     def test_remove_edge_from_triangle(self):

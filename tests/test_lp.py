@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from kcover.graph import WeightedGraph, complete_graph
-from kcover.lp import check_certificate, format_lp, solve_covering_lp
+from kcover import lp
+from kcover.lp import SimplexIterationError, check_certificate, format_lp, solve_covering_lp
 from kcover.structures import build_incidence, enumerate_k_cliques, enumerate_k_cycles
 
 
@@ -182,10 +184,56 @@ class TestDeterminism:
         assert a == b
 
 
+def answer_digest(sol):
+    """SHA-256 of the objective, every value and every dual multiplier."""
+    values = ",".join(f"{u}-{v}:{x}" for (u, v), x in sol.values.items())
+    text = f"{sol.objective}|{values}|{','.join(map(str, sol.dual))}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPivotPath:
+    """The pricing arithmetic may change; the pivots and the answer may not.
+
+    Each instance solves in exactly `pivots` pivots (so pivot_limit=pivots
+    succeeds and one less raises); the objective, values and dual are pinned
+    through their digest.
+    """
+
+    @pytest.mark.parametrize(
+        "seed,n,p,kind,k,pivots,objective,digest",
+        [
+            (2, 9, 0.8, "clique", 3, 46, Fraction(175, 3),
+             "1c96985cd75bffec32b005421474c7d68b3e8ea1a516a4854dd1529c46b83604"),
+            (1, 8, 0.8, "cycle", 5, 50, Fraction(59, 3),
+             "bc347021239de32db2886fa88325f07697fde8dc609559a6b6c2c56b14d43ede"),
+        ],
+    )
+    def test_pivots_and_answer_pinned(self, seed, n, p, kind, k, pivots, objective, digest):
+        g = random_graph(random.Random(seed), n, p)
+        enum = enumerate_k_cycles if kind == "cycle" else enumerate_k_cliques
+        m = build_incidence(g, enum(g, k))
+        sol = solve_covering_lp(m, g, pivot_limit=pivots)
+        assert sol.objective == objective
+        assert answer_digest(sol) == digest
+        with pytest.raises(SimplexIterationError):
+            solve_covering_lp(m, g, pivot_limit=pivots - 1)
+
+    def test_bland_rule_from_the_first_pivot(self, monkeypatch):
+        # Unit-weight K6 with triangles is degenerate; switching to Bland's
+        # rule at once takes 28 pivots where the default path takes 20.
+        g = complete_graph(6)
+        m = build_incidence(g, enumerate_k_cliques(g, 3))
+        default = solve_covering_lp(m, g, pivot_limit=20)
+        monkeypatch.setattr(lp._DualSimplex, "DEGENERATE_SWITCH", 0)
+        with pytest.raises(SimplexIterationError):
+            solve_covering_lp(m, g, pivot_limit=20)
+        bland = solve_covering_lp(m, g, pivot_limit=28)
+        check_certificate(m, g, bland)
+        assert bland.objective == default.objective == 5
+
+
 class TestValidation:
     def test_pivot_cap_is_internal_error(self):
-        from kcover.lp import SimplexIterationError
-
         g = complete_graph(4)
         m = build_incidence(g, enumerate_k_cycles(g, 3))
         with pytest.raises(SimplexIterationError):
