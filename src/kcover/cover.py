@@ -21,11 +21,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .certificates import check_cover, check_half_cut, check_improved_parts
 from .graph import EdgeSet, WeightedGraph, edge_induced_subgraph, total_weight
 from .lp import FractionalSolution
-from .structures import DEFAULT_MAX_STRUCTURES, CoveringProblem, union_structure_edges
+from .structures import DEFAULT_MAX_STRUCTURES, KINDS, CoveringProblem
+
+# Shared by every result, so a kept result holds no copy of them.
+_BASIC_NAMES = {kind: f"basic-{kind}" for kind in KINDS}
+_IMPROVED_NAMES = {kind: f"improved-{kind}" for kind in KINDS}
+
+
+@cache
+def _basic_ratio(t: int) -> Fraction:
+    return Fraction(t)
+
+
+@cache
+def _improved_ratio(t: int) -> Fraction:
+    return Fraction(2 * t - 1, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +150,8 @@ def round_basic(
         cover=cover,
         cover_weight=total_weight(problem.g, cover),
         lp_objective=sol.objective,
-        ratio_bound=Fraction(t),
-        algorithm=f"basic-{problem.kind}",
+        ratio_bound=_basic_ratio(t),
+        algorithm=_BASIC_NAMES[problem.kind],
         solution=sol,
     )
     check_cover(problem, result)
@@ -149,7 +164,9 @@ def round_improved(
     """Threshold 2/(2t-1) rounding plus bipartization; certified ratio t - 1/2.
 
     The structures that survive the rounding are the problem's rows that
-    miss every picked edge, so no second enumeration is needed.
+    miss every picked edge, so no second enumeration is needed; their edges
+    are read off the union of their row bitmasks, as the graph's own edge
+    tuples.
     """
     if problem.kind == "cycle" and problem.k % 2 == 0:
         raise ValueError(
@@ -162,10 +179,11 @@ def round_improved(
     picked = round_threshold(sol, Fraction(2, 2 * t - 1))
 
     picked_mask = sum(1 << g.edge_index[e] for e in picked)
-    survivors = [
-        s for s, mask in zip(problem.structures, problem.row_masks) if not mask & picked_mask
-    ]
-    residual = union_structure_edges(survivors)
+    residual_mask = 0
+    for mask in problem.row_masks:
+        if not mask & picked_mask:
+            residual_mask |= mask
+    residual = EdgeSet(e for i, e in enumerate(g.edges) if residual_mask >> i & 1)
     span = edge_induced_subgraph(g, residual)
     bipartition = bipartize_half_weight(span)
     removed = bipartition.inner_edges
@@ -176,8 +194,8 @@ def round_improved(
         cover=cover,
         cover_weight=total_weight(g, cover),
         lp_objective=sol.objective,
-        ratio_bound=Fraction(2 * t - 1, 2),
-        algorithm=f"improved-{problem.kind}",
+        ratio_bound=_improved_ratio(t),
+        algorithm=_IMPROVED_NAMES[problem.kind],
         solution=sol,
         parts=CoverParts(
             threshold_edges=picked,

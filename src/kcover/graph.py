@@ -74,6 +74,11 @@ class EdgeSet:
         return i < len(edges) and edges[i] == e
 
     def __or__(self, other: "EdgeSet") -> "EdgeSet":
+        # Immutable, so a union with an empty side can be the other operand.
+        if not other.edges:
+            return self
+        if not self.edges:
+            return other
         return EdgeSet(set(self.edges).union(other.edges))
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":

@@ -1,11 +1,12 @@
 """Exact rational solver for the covering relaxation min{w.x : Ax >= 1, 0 <= x <= 1}.
 
 All arithmetic is exact, so threshold comparisons made by the rounding
-algorithms are never subject to floating-point ties.  The basis inverse and
-its right-hand side are rationals (GMP rationals when gmpy2 is available,
-stdlib fractions otherwise); the simplex multipliers are Python ints over
-one common denominator, so pricing every structure row, the hot loop, adds
-ints instead of rationals.
+algorithms are never subject to floating-point ties.  Inside the solver
+every number is a Python int: the basis inverse and its right-hand side
+are integers over one common denominator (fraction-free, or
+integer-preserving, pivoting; Edmonds 1967, Bareiss 1968), and the simplex
+multipliers are integers over their least common denominator.  Rationals
+are formed only once, for the answer.
 
 The system has one row per k-structure and one column per edge; dense
 instances can carry thousands of rows but only |E| columns.  The solver
@@ -24,16 +25,11 @@ feasible vector certifying optimality; both are verified before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import TYPE_CHECKING
-
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:
-    from fractions import Fraction as _rat
+from typing import TYPE_CHECKING, Sequence
 
 from .certificates import CertificateError, check_lp_certificate
 from .graph import Edge, WeightedGraph
@@ -43,27 +39,60 @@ if TYPE_CHECKING:
 
 PRICING_BATCH = 64
 
+_ZERO = Fraction(0)
+
 
 class SimplexIterationError(RuntimeError):
     """Internal error: the pivot cap was hit despite the anti-cycling rule."""
 
 
-def _to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FractionalSolution:
     """Exact optimal solution of the covering LP with its dual certificate.
 
     `values` maps every edge to a rational in [0, 1]; `dual` holds one
     multiplier per incidence row (zero for rows that never became active).
+    Only the nonzero multipliers are stored, as ints over their least
+    common denominator, so equal duals are stored alike; `dual` rebuilds
+    the dense tuple on each read.
     """
 
     values: dict[Edge, Fraction]
     objective: Fraction
-    dual: tuple[Fraction, ...]
-    status: str = field(default="optimal")
+    status: str
+    _rows: int
+    _dual_den: int
+    _support: tuple[int, ...]  # the rows with a nonzero multiplier, ascending
+    _dual_nums: tuple[int, ...]  # their multipliers times _dual_den
+
+    def __init__(
+        self,
+        values: dict[Edge, Fraction],
+        objective: Fraction,
+        dual: Sequence[Fraction],
+        status: str = "optimal",
+    ):
+        nonzero = [(i, v) for i, v in enumerate(dual) if v]
+        den = lcm(*(v.denominator for _, v in nonzero))
+        put = object.__setattr__
+        put(self, "values", values)
+        put(self, "objective", objective)
+        put(self, "status", status)
+        put(self, "_rows", len(dual))
+        put(self, "_dual_den", den)
+        put(self, "_support", tuple(i for i, _ in nonzero))
+        put(self, "_dual_nums", tuple(v.numerator * (den // v.denominator) for _, v in nonzero))
+
+    @property
+    def dual(self) -> tuple[Fraction, ...]:
+        dense = [_ZERO] * self._rows
+        for i, v in zip(self._support, self._dual_nums):
+            dense[i] = Fraction(v, self._dual_den)
+        return tuple(dense)
+
+    def __repr__(self) -> str:
+        return (f"FractionalSolution(values={self.values!r}, objective={self.objective!r}, "
+                f"dual={self.dual!r}, status={self.status!r})")
 
 
 class _DualSimplex:
@@ -75,14 +104,22 @@ class _DualSimplex:
     sum(pi over its edges) - 1, an upper-bound column to 1 - pi_e, a slack
     to pi_e; at optimality pi is exactly the primal solution x*.
 
+    The basis inverse is `binv / det` and the basic values `rhs / det`, with
+    `binv` and `rhs` Python ints and `det` > 0 the last pivot element (1 at
+    the start), so `binv` is the adjugate of the integer basis up to sign.
+    A pivot on row r with element `piv` keeps row r, maps every other row
+    a to (piv * a - f * b) // det, where f is the row's entry in the
+    entering column and b is row r, and sets det = piv; each division is
+    exact.  Entering columns are ints over det too, so the ratio test
+    compares rhs[i] * col[j] with rhs[j] * col[i].
+
     pi is kept as Python ints `pi` over their least common denominator
     `pi_den`, and every reduced cost is handled multiplied by pi_den: a
     structure column is sum(pi[e] for e in row) - pi_den, a z column
     pi_den - pi[e] (eligible when pi[e] > pi_den), a t column pi[e]
-    (eligible when pi[e] < 0).  pi_den > 0, so every comparison, and so
-    every pivot, is the one the rational values would give.  Each pivot
-    forms the rational update pi - (rc / pi_den) * (pivot row) once and
-    rescales it to ints over the new least common denominator.
+    (eligible when pi[e] < 0).  A pivot maps pi to pi * piv - rc * b over
+    pi_den * piv and divides out the gcd.  Every denominator is positive, so
+    every comparison, and so every pivot, is the one exact rationals give.
 
     Entering rule: Dantzig (most negative reduced cost) with ties broken by
     the global column order y_0..y_{m-1}, z_0..z_{n-1}, t_0..t_{n-1}; after
@@ -102,19 +139,13 @@ class _DualSimplex:
         self.rows = rows
         self.m = len(rows)
         self.n = len(weights)
-        one = _rat(1)
-        zero = _rat(0)
-        self.zero = zero
-        self.one = one
-        # Basis inverse; starts as the identity on the slack block.
-        self.binv = [
-            [one if j == i else zero for j in range(self.n)] for i in range(self.n)
-        ]
-        self.rhs = [_rat(w) for w in weights]
+        # Basis inverse binv / det; starts as the identity on the slack block.
+        self.binv = [[int(j == i) for j in range(self.n)] for i in range(self.n)]
+        self.rhs = list(weights)
+        self.det = 1
         # pi_e = pi[e] / pi_den, Python ints over their least common denominator.
         self.pi = [0] * self.n
         self.pi_den = 1
-        self.dval = zero
         self.active: list[int] = []
         self.inactive = list(range(self.m))
         self.basis = [self.m + self.n + e for e in range(self.n)]
@@ -153,12 +184,12 @@ class _DualSimplex:
                 best_id, best_rc = m + n + e, pi
         return None if best_id is None else (best_id, best_rc)
 
-    def _column(self, ent: int) -> list:
+    def _column(self, ent: int) -> list[int]:
+        """The entering column in the current basis, as ints over det."""
         m, n = self.m, self.n
         if ent < m:
             idx = self.rows[ent]
-            zero = self.zero
-            return [sum((row[e] for e in idx), zero) for row in self.binv]
+            return [sum(row[e] for e in idx) for row in self.binv]
         if ent < m + n:
             e = ent - m
             return [-row[e] for row in self.binv]
@@ -167,19 +198,18 @@ class _DualSimplex:
 
     # -- pivoting ------------------------------------------------------------
 
-    def _choose_leaving(self, col: list) -> int:
+    def _choose_leaving(self, col: list[int]) -> int:
+        """Minimum ratio rhs[i] / col[i] over col[i] > 0; ties to the least basic id."""
+        rhs, basis = self.rhs, self.basis
         best_i = -1
-        best_ratio = None
         for i, c in enumerate(col):
             if c > 0:
-                ratio = self.rhs[i] / c
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and self.basis[i] < self.basis[best_i])
-                ):
+                if best_i < 0:
                     best_i = i
-                    best_ratio = ratio
+                    continue
+                here, best = rhs[i] * col[best_i], rhs[best_i] * c
+                if here < best or (here == best and basis[i] < basis[best_i]):
+                    best_i = i
         if best_i < 0:
             raise SimplexIterationError(
                 "dual unbounded: the covering LP reported infeasible, "
@@ -187,27 +217,19 @@ class _DualSimplex:
             )
         return best_i
 
-    def _pivot(self, r: int, ent: int, rc: int, col: list) -> None:
-        piv = col[r]
-        inv = self.one / piv
-        prow = [v * inv if v else v for v in self.binv[r]]
-        prow_rhs = self.rhs[r] * inv
-        self.binv[r] = prow
-        self.rhs[r] = prow_rhs
-        for i in range(self.n):
-            if i == r:
-                continue
-            f = col[i]
-            if f:
-                self.binv[i] = [a - f * b if b else a for a, b in zip(self.binv[i], prow)]
-                self.rhs[i] = self.rhs[i] - f * prow_rhs
-        # pi' = pi - (rc / pi_den) * prow; over pi_den its numerators are pi - rc * prow.
-        num = [p - rc * b if b else p for p, b in zip(self.pi, prow)]
-        scale = lcm(*(int(q.denominator) for q in num))
-        num = [int(q * scale) for q in num]
-        den = self.pi_den * scale
+    def _pivot(self, r: int, ent: int, rc: int, col: list[int]) -> None:
+        piv, det = col[r], self.det
+        binv, rhs = self.binv, self.rhs
+        prow, prow_rhs = binv[r], rhs[r]
+        for i, f in enumerate(col):
+            if i != r:
+                binv[i] = [(piv * a - f * b) // det for a, b in zip(binv[i], prow)]
+                rhs[i] = (piv * rhs[i] - f * prow_rhs) // det
+        self.det = piv
+        # pi' = pi / pi_den - (rc / pi_den) * prow / piv, over pi_den * piv.
+        num = [p * piv - rc * b for p, b in zip(self.pi, prow)]
+        den = self.pi_den * piv
         common = gcd(den, *num)
-        self.dval = self.dval - _rat(rc, self.pi_den) * prow_rhs
         self.pi = [q // common for q in num]
         self.pi_den = den // common
         self.basis[r] = ent
@@ -248,6 +270,21 @@ class _DualSimplex:
             r = self._choose_leaving(col)
             self._pivot(r, ent, rc, col)
 
+    def solution(self, edges: tuple[Edge, ...]) -> FractionalSolution:
+        """x = pi / pi_den, the basic y values as the dual, and the objective sum(y) - sum(z)."""
+        m, n, den = self.m, self.n, self.pi_den
+        shared = {p: Fraction(p, den) for p in set(self.pi)}  # one Fraction per value
+        values = {e: shared[p] for e, p in zip(edges, self.pi)}
+        dual = [_ZERO] * m
+        total = 0
+        for b, v in zip(self.basis, self.rhs):
+            if b < m:
+                dual[b] = Fraction(v, self.det)
+                total += v
+            elif b < m + n:
+                total -= v
+        return FractionalSolution(values, Fraction(total, self.det), dual)
+
 
 def solve_covering_lp(
     m: IncidenceMatrix, g: WeightedGraph, *, pivot_limit: int | None = None
@@ -264,23 +301,13 @@ def solve_covering_lp(
     if pivot_limit is None:
         pivot_limit = 10_000 + 20 * (m.row_count + m.column_count)
     if m.row_count == 0:
-        zero = Fraction(0)
-        return FractionalSolution({e: zero for e in g.edges}, zero, ())
+        return FractionalSolution({e: _ZERO for e in g.edges}, _ZERO, ())
 
     tableau = _DualSimplex(m.row_edge_indices, g.weights)
     tableau.run(pivot_limit)
-
-    x = [Fraction(p, tableau.pi_den) for p in tableau.pi]
-    dual = [Fraction(0)] * m.row_count
-    for i, b in enumerate(tableau.basis):
-        if b < tableau.m:
-            dual[b] = _to_fraction(tableau.rhs[i])
-    objective = _to_fraction(tableau.dval)
-
-    solution = FractionalSolution(
-        values=dict(zip(g.edges, x)), objective=objective, dual=tuple(dual)
-    )
-    check_lp_certificate(m.row_edge_indices, g.weights, x, objective, dual)
+    solution = tableau.solution(g.edges)
+    x = list(solution.values.values())
+    check_lp_certificate(m.row_edge_indices, g.weights, x, solution.objective, solution.dual)
     return solution
 
 

@@ -76,27 +76,28 @@ def _iter_k_cycle_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
     requiring the second vertex to be smaller than the last.  A root needs
     at least k-1 larger vertices, so the last k-1 vertices start no path.
     """
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def dfs(root: int) -> Iterator[tuple[int, ...]]:
-        last = path[-1]
-        if len(path) == k:
-            if path[1] < last and g.has_edge(last, root):
-                yield tuple(path)
-            return
-        for nxt in g.neighbors(last):
-            if nxt > root and nxt not in on_path:
-                path.append(nxt)
-                on_path.add(nxt)
-                yield from dfs(root)
-                path.pop()
-                on_path.remove(nxt)
-
     for root in g.vertices[: max(0, g.vertex_count - k + 1)]:
-        path = [root]
-        on_path = {root}
-        yield from dfs(root)
+        yield from _extend_cycle_path(g, k, [root], {root})
+
+
+def _extend_cycle_path(
+    g: WeightedGraph, k: int, path: list[int], on_path: set[int]
+) -> Iterator[tuple[int, ...]]:
+    # The state travels as arguments rather than in a closure: a recursive
+    # closure is a reference cycle that would keep g alive until the cyclic
+    # garbage collector runs.
+    root, last = path[0], path[-1]
+    if len(path) == k:
+        if path[1] < last and g.has_edge(last, root):
+            yield tuple(path)
+        return
+    for nxt in g.neighbors(last):
+        if nxt > root and nxt not in on_path:
+            path.append(nxt)
+            on_path.add(nxt)
+            yield from _extend_cycle_path(g, k, path, on_path)
+            path.pop()
+            on_path.remove(nxt)
 
 
 def _iter_k_clique_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
@@ -105,21 +106,23 @@ def _iter_k_clique_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]
     Ordered DFS: a clique is only extended by vertices larger than its
     current maximum and adjacent to every member.
     """
-
-    def dfs(clique: list[int], cands: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(clique) == k:
-            yield tuple(clique)
-            return
-        need = k - len(clique)
-        for i, v in enumerate(cands):
-            if len(cands) - i < need:
-                break
-            clique.append(v)
-            yield from dfs(clique, [u for u in cands[i + 1 :] if g.has_edge(u, v)])
-            clique.pop()
-
     for root in g.vertices:
-        yield from dfs([root], [u for u in g.neighbors(root) if u > root])
+        yield from _extend_clique(g, k, [root], [u for u in g.neighbors(root) if u > root])
+
+
+def _extend_clique(
+    g: WeightedGraph, k: int, clique: list[int], cands: list[int]
+) -> Iterator[tuple[int, ...]]:
+    if len(clique) == k:
+        yield tuple(clique)
+        return
+    need = k - len(clique)
+    for i, v in enumerate(cands):
+        if len(cands) - i < need:
+            break
+        clique.append(v)
+        yield from _extend_clique(g, k, clique, [u for u in cands[i + 1 :] if g.has_edge(u, v)])
+        clique.pop()
 
 
 def _structure_iterator(g: WeightedGraph, k: int, kind: str) -> Iterator[tuple[int, ...]]:

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,14 @@ import pytest
 
 from kcover.graph import WeightedGraph, complete_graph
 from kcover import lp
-from kcover.lp import SimplexIterationError, check_certificate, format_lp, solve_covering_lp
+from kcover.certificates import CertificateError
+from kcover.lp import (
+    FractionalSolution,
+    SimplexIterationError,
+    check_certificate,
+    format_lp,
+    solve_covering_lp,
+)
 from kcover.structures import build_incidence, enumerate_k_cliques, enumerate_k_cycles
 
 
@@ -218,6 +226,19 @@ class TestPivotPath:
         with pytest.raises(SimplexIterationError):
             solve_covering_lp(m, g, pivot_limit=pivots - 1)
 
+    def test_worst_acceptance_cell_pinned(self):
+        # The acceptance corpus's largest LP: n=12, p=0.8, draw 7, 5-cycles.
+        g = random_graph(random.Random((20240801, 12, 0.8, 7).__repr__()), 12, 0.8)
+        m = build_incidence(g, enumerate_k_cycles(g, 5))
+        assert (m.row_count, m.column_count) == (3726, 55)
+        sol = solve_covering_lp(m, g, pivot_limit=497)
+        assert sol.objective == 58
+        assert answer_digest(sol) == (
+            "613bdde4bf34f0e2b96aef716e364f6401833120828dc86fee4de85fb6ea8dfd"
+        )
+        with pytest.raises(SimplexIterationError):
+            solve_covering_lp(m, g, pivot_limit=496)
+
     def test_bland_rule_from_the_first_pivot(self, monkeypatch):
         # Unit-weight K6 with triangles is degenerate; switching to Bland's
         # rule at once takes 28 pivots where the default path takes 20.
@@ -253,11 +274,52 @@ class TestValidation:
         bad_values = dict(sol.values)
         top = max(bad_values, key=lambda e: (bad_values[e], e))
         bad_values[top] = Fraction(0)
-        from kcover.lp import FractionalSolution
-
         tampered = FractionalSolution(bad_values, sol.objective, sol.dual)
         with pytest.raises(ValueError):
             check_certificate(m, g, tampered)
+
+
+class TestStoredDual:
+    """A solution keeps only its nonzero multipliers; `dual` still reads densely."""
+
+    def test_dense_dual_reads_back(self):
+        g = complete_graph(3)
+        dual = (Fraction(0), Fraction(1, 3), Fraction(0), Fraction(2, 5), Fraction(0))
+        sol = FractionalSolution({e: Fraction(1, 2) for e in g.edges}, Fraction(3, 2), dual)
+        assert sol.dual == dual
+        assert all(type(y) is Fraction for y in sol.dual)
+        assert FractionalSolution(sol.values, sol.objective, ()).dual == ()
+
+    def test_equal_solutions_compare_equal(self):
+        g = complete_graph(6)  # 20 triangles, 15 edges: some multipliers are zero
+        m = build_incidence(g, enumerate_k_cycles(g, 3))
+        sol = solve_covering_lp(m, g)
+        rebuilt = FractionalSolution(dict(sol.values), sol.objective, sol.dual)
+        assert rebuilt == sol
+        assert pickle.loads(pickle.dumps(sol)) == sol
+        moved = list(sol.dual)
+        i = next(i for i, y in enumerate(moved) if y)
+        j = next(j for j, y in enumerate(moved) if not y)
+        moved[i], moved[j] = moved[j], moved[i]
+        assert FractionalSolution(sol.values, sol.objective, moved) != sol
+
+    def test_tampered_dual_rejected(self):
+        g = complete_graph(5)
+        m = build_incidence(g, enumerate_k_cycles(g, 3))
+        sol = solve_covering_lp(m, g)
+        tampered = list(sol.dual)
+        i = next(i for i, y in enumerate(tampered) if y)
+        tampered[i] *= 2
+        with pytest.raises(CertificateError):
+            check_certificate(m, g, FractionalSolution(sol.values, sol.objective, tampered))
+
+    def test_at_most_one_multiplier_per_edge_stored(self):
+        g = complete_graph(7)
+        m = build_incidence(g, enumerate_k_cycles(g, 5))
+        sol = solve_covering_lp(m, g)
+        assert m.row_count == 252 > g.edge_count == 21
+        assert 0 < len(sol._dual_nums) <= g.edge_count
+        assert len(sol.dual) == m.row_count
 
 
 class TestDebugDump:

@@ -1,0 +1,77 @@
+"""Property tests: enumeration and cover checking against brute force.
+
+Random graphs on at most 7 vertices; the oracles look at every vertex
+subset and every ordering of it, sharing no code with the DFS enumerators.
+The examples are derandomized, so every run checks the same graphs.
+"""
+
+from itertools import combinations, permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kcover.graph import EdgeSet, WeightedGraph
+from kcover.structures import enumerate_k_cliques, enumerate_k_cycles, verify_cover
+
+MAX_VERTICES = 7
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, MAX_VERTICES))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(1, 10), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v, w) for (u, v), kept, w in zip(pairs, keep, weights) if kept]
+    return WeightedGraph.build(range(n), edges)
+
+
+def adjacent(g, u, v):
+    return (min(u, v), max(u, v)) in set(g.edges)
+
+
+def brute_cycles(g, k):
+    """Each k-cycle once: its smallest vertex first, second vertex below the last."""
+    found = []
+    for subset in combinations(g.vertices, k):
+        for rest in permutations(subset[1:]):
+            seq = subset[:1] + rest
+            if rest[0] < rest[-1] and all(adjacent(g, seq[i - 1], seq[i]) for i in range(k)):
+                found.append(seq)
+    return sorted(found)
+
+
+def brute_cliques(g, k):
+    return [
+        subset
+        for subset in combinations(g.vertices, k)
+        if all(adjacent(g, u, v) for u, v in combinations(subset, 2))
+    ]
+
+
+def without(g, removed):
+    return WeightedGraph.build(
+        g.vertices, [(u, v, w) for (u, v), w in zip(g.edges, g.weights) if (u, v) not in removed]
+    )
+
+
+@SETTINGS
+@given(graphs(), st.integers(3, MAX_VERTICES + 1))
+def test_cycles_match_brute_force(g, k):
+    assert [s.vertices for s in enumerate_k_cycles(g, k)] == brute_cycles(g, k)
+
+
+@SETTINGS
+@given(graphs(), st.integers(3, MAX_VERTICES + 1))
+def test_cliques_match_brute_force(g, k):
+    assert [s.vertices for s in enumerate_k_cliques(g, k)] == brute_cliques(g, k)
+
+
+@SETTINGS
+@given(graphs(), st.integers(3, 5), st.sampled_from(["cycle", "clique"]), st.data())
+def test_verify_cover_matches_brute_force(g, k, kind, data):
+    removed = set(data.draw(st.lists(st.sampled_from(g.edges), unique=True))) if g.edges else set()
+    brute = brute_cycles if kind == "cycle" else brute_cliques
+    assert verify_cover(g, k, kind, EdgeSet(removed)) == (not brute(without(g, removed), k))

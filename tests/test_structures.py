@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -240,3 +242,23 @@ class TestVerifyCover:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             verify_cover(complete_graph(3), 3, "loop", EdgeSet())
+
+
+class TestNoReferenceCycles:
+    def test_graph_dies_at_del(self):
+        # Enumeration and cover checks leave no cyclic garbage holding the
+        # graph (and its cached edge index and adjacency) alive.
+        gc.collect()
+        gc.disable()
+        try:
+            g = complete_graph(6)
+            alive = weakref.ref(g)
+            assert len(enumerate_k_cycles(g, 5)) == 72
+            assert len(enumerate_k_cliques(g, 3)) == 20
+            assert not verify_cover(g, 3, "cycle", EdgeSet([(0, 1)]))
+            assert verify_cover(g, 4, "clique", g.edge_set())
+            del g
+            assert alive() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
