@@ -34,7 +34,6 @@ from .structures import (
     build_incidence,
     enumerate_k_cliques,
     enumerate_k_cycles,
-    union_structure_edges,
     verify_cover,
 )
 from .certificates import CertificateError
@@ -85,7 +84,6 @@ __all__ = [
     "build_incidence",
     "enumerate_k_cliques",
     "enumerate_k_cycles",
-    "union_structure_edges",
     "verify_cover",
     "CertificateError",
     "FractionalSolution",

@@ -57,14 +57,15 @@ class EdgeSet:
     def __setattr__(self, name, value):
         raise AttributeError("EdgeSet is immutable")
 
+    def __reduce__(self):
+        # The default slot restore would write through __setattr__.
+        return EdgeSet, (self.edges,)
+
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def __bool__(self) -> bool:
-        return bool(self.edges)
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
         u, v = edge
@@ -137,10 +138,6 @@ class WeightedGraph:
         return cls(vs, ordered, tuple(seen[e] for e in ordered))
 
     @cached_property
-    def _weight_map(self) -> dict[Edge, int]:
-        return dict(zip(self.edges, self.weights))
-
-    @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
         nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
@@ -150,18 +147,18 @@ class WeightedGraph:
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
-        """Position of each edge in the deterministic edge order."""
+        """Position of each edge in the deterministic edge order; the graph's only edge map."""
         return {e: i for i, e in enumerate(self.edges)}
 
     def weight(self, edge: tuple[int, int]) -> int:
         e = normalize_edge(*edge)
         try:
-            return self._weight_map[e]
+            return self.weights[self.edge_index[e]]
         except KeyError:
             raise ValueError(f"edge {e} not in graph") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and normalize_edge(u, v) in self._weight_map
+        return ((u, v) if u < v else (v, u)) in self.edge_index  # a loop is never a key
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
@@ -265,17 +262,26 @@ def serialize_edge_set(n: int, s: EdgeSet) -> str:
 
 def _foreign_edges(g: WeightedGraph, s: EdgeSet) -> list[Edge]:
     """The edges of `s` that `g` lacks, in sorted order."""
-    index = g.edge_index
-    return [e for e in s if e not in index]
+    return [e for e in s if e not in g.edge_index]
+
+
+def _positions(g: WeightedGraph, s: EdgeSet) -> list[int]:
+    """Ascending positions of the edges of `s` in `g`; ValueError if `g` lacks any."""
+    if extra := _foreign_edges(g, s):
+        raise ValueError(f"edges not in graph: {extra}")
+    return [g.edge_index[e] for e in s]
+
+
+def _subgraph(g: WeightedGraph, vertices: tuple[int, ...], positions: list[int]) -> WeightedGraph:
+    # g's own edge tuples and weights, so build's checks hold already.
+    return WeightedGraph(vertices, tuple(g.edges[i] for i in positions),
+                         tuple(g.weights[i] for i in positions))
 
 
 def remove_edges(g: WeightedGraph, s: EdgeSet) -> WeightedGraph:
     """Graph on the same vertices with the edges of `s` deleted."""
-    if extra := _foreign_edges(g, s):
-        raise ValueError(f"edges not in graph: {extra}")
-    drop = set(s.edges)
-    kept = [(u, v, w) for (u, v), w in zip(g.edges, g.weights) if (u, v) not in drop]
-    return WeightedGraph.build(g.vertices, kept)
+    drop = set(_positions(g, s))
+    return _subgraph(g, g.vertices, [i for i in range(g.edge_count) if i not in drop])
 
 
 def edge_induced_subgraph(g: WeightedGraph, s: EdgeSet) -> WeightedGraph:
@@ -283,13 +289,7 @@ def edge_induced_subgraph(g: WeightedGraph, s: EdgeSet) -> WeightedGraph:
 
     The empty edge set yields the empty graph; isolated vertices are dropped.
     """
-    if extra := _foreign_edges(g, s):
-        raise ValueError(f"edges not in graph: {extra}")
-    # The edges are g's own tuples and weights, so build's checks hold already.
-    positions = [g.edge_index[e] for e in s]
-    edges = tuple(g.edges[i] for i in positions)
-    verts = tuple(sorted({u for e in edges for u in e}))
-    return WeightedGraph(verts, edges, tuple(g.weights[i] for i in positions))
+    return _subgraph(g, tuple(sorted({u for e in s for u in e})), _positions(g, s))
 
 
 def total_weight(g: WeightedGraph, s: EdgeSet) -> int:

@@ -4,21 +4,23 @@ CoveringProblem, which owns all of them (and the LP optimum) for one instance.
 Every structure is carried in a canonical form so enumeration output is
 deterministic: a clique is its sorted vertex tuple; a cycle is rotated to
 start at its smallest vertex and oriented so the second vertex is smaller
-than the last.  The DFS enumerators below generate each structure exactly
-once, so no dedup pass is needed.
+than the last.  The DFS enumerators generate each structure exactly once
+and recurse once per vertex, so k is at most MAX_K.  An incidence row maps
+a structure's canonical vertex pairs straight through the graph's edge_index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator
 
 from . import lp
 from .graph import Edge, EdgeSet, WeightedGraph, normalize_edge, remove_edges
 
 DEFAULT_MAX_STRUCTURES = 1_000_000
+
+MAX_K = 500  # the enumerators recurse once per vertex; Python's default limit is 1000
 
 KINDS = ("cycle", "clique")
 
@@ -38,11 +40,20 @@ class EnumerationCapError(RuntimeError):
 def _check_k(k: int) -> None:
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}, got {k}")
 
 
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def _edge_pairs(kind: str, vs: tuple[int, ...]) -> list[Edge]:
+    """The canonical (min, max) vertex pairs of the structure on `vs`."""
+    if kind == "cycle":
+        return [normalize_edge(vs[i - 1], vs[i]) for i in range(len(vs))]
+    return [normalize_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
 
 
 @dataclass(frozen=True)
@@ -58,14 +69,7 @@ class EdgeStructure:
 
     @property
     def edges(self) -> EdgeSet:
-        vs = self.vertices
-        if self.kind == "cycle":
-            pairs = [normalize_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-        else:
-            pairs = [
-                (vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))
-            ]
-        return EdgeSet(pairs)
+        return EdgeSet(_edge_pairs(self.kind, self.vertices))
 
 
 def _iter_k_cycle_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
@@ -214,17 +218,13 @@ def build_incidence(
     index = g.edge_index
     row_indices = []
     for s in rows:
+        pairs = _edge_pairs(s.kind, s.vertices)
         try:
-            row_indices.append(tuple(sorted(index[e] for e in s.edges)))
+            row_indices.append(tuple(sorted({index[e] for e in pairs})))
         except KeyError:
-            foreign = [e for e in s.edges if e not in index]
+            foreign = sorted({e for e in pairs if e not in index})
             raise ValueError(f"structure {s.vertices} uses edges not in graph: {foreign}")
     return IncidenceMatrix(rows, g.edges, tuple(row_indices))
-
-
-def union_structure_edges(structures: Iterable[EdgeStructure]) -> EdgeSet:
-    """Union of the edge sets of all given structures."""
-    return EdgeSet(chain.from_iterable(s.edges for s in structures))
 
 
 def verify_cover(g: WeightedGraph, k: int, kind: str, s: EdgeSet) -> bool:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -183,6 +185,19 @@ class TestImprovedCycleCover:
     def test_even_k_rejected(self):
         with pytest.raises(ValueError):
             cover_k_cycles_odd(complete_graph(5), 4)
+
+
+class TestPickling:
+    def test_improved_result_with_parts_round_trip(self):
+        g = random_graph(random.Random(15), 9, 0.5)
+        res = cover_k_cycles_odd(g, 5)
+        assert res.parts.threshold_edges and res.parts.bipartization_edges
+        for copied in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+            assert copied == res and copied is not res
+            assert copied.parts == res.parts
+            assert copied.parts.bipartition == res.parts.bipartition
+            assert copied.solution == res.solution
+            assert verify_cover(g, 5, "cycle", copied.cover)
 
 
 class TestImprovedCliqueCover:

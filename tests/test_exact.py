@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -194,6 +196,21 @@ class TestExactMinCover:
         rng = random.Random(3)
         g = random_graph(rng, 7, 0.8)
         assert exact_min_cover(g, 3, "cycle") == exact_min_cover(g, 3, "cycle")
+
+
+class TestPickling:
+    def test_exact_results_round_trip(self):
+        results = [
+            exact_min_cover(complete_graph(5), 3, "cycle"),
+            exact_min_cover(complete_graph(6), 3, "clique", node_budget=1),
+            exact_max_packing(complete_graph(7), 3),
+        ]
+        assert [r.solved for r in results] == [True, False, True]
+        for res in results:
+            for copied in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+                assert copied == res and copied is not res
+        packing = pickle.loads(pickle.dumps(results[2]))
+        assert [s.edges for s in packing.cliques] == [s.edges for s in results[2].cliques]
 
 
 class TestExactMaxPacking:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -159,6 +161,14 @@ class TestEdgeSet:
         assert all(s.edges[i] is g.edges[i] for i in range(g.edge_count))
         assert (s | EdgeSet([(4, 0)])).edges[3] is g.edges[3]
         assert EdgeSet([[0, 1]]).edges == ((0, 1),)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        s = EdgeSet([(3, 1), (0, 2)])
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert copied == s and copied.edges == ((0, 2), (1, 3))
+            with pytest.raises(AttributeError):
+                copied.edges = ()
+        assert pickle.loads(pickle.dumps(EdgeSet())) == EdgeSet()
 
 
 class TestGraphOps:

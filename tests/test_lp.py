@@ -2,7 +2,7 @@ import hashlib
 import pickle
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -30,56 +30,63 @@ def random_graph(rng, n, p):
 
 
 # Independent oracle: enumerate every vertex of {Ax >= 1, 0 <= x <= 1} by
-# solving all n-subsets of tight constraints with Gaussian elimination over
-# Fractions, and take the best feasible one.  Completely separate from the
-# simplex code path.
+# solving all n-subsets of tight constraints with fraction-free Gauss-Jordan
+# elimination in ints, and take the best feasible one.  Completely separate
+# from the simplex code path.
 
 
-def gaussian_solve(rows, rhs):
+def fraction_free_solve(rows, rhs):
+    """Solve a square integer system; (numerators, denominator > 0), or None if singular.
+
+    Each step maps every other row to (p*a - f*b) // prev, which is exact
+    because the entries stay minors of the system (Bareiss 1968); at the
+    end every diagonal entry is the last pivot, the determinant up to sign.
+    """
     n = len(rhs)
-    aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             return None  # singular
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        p, pivot_row = aug[col][col], aug[col]
         for r in range(n):
-            if r != col and aug[r][col]:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], pivot_row)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [sign * row[n] for row in aug], sign * prev
 
 
 def lp_minimum_by_vertex_enumeration(row_indices, weights, n):
-    constraints = []  # (coefficients, rhs) rows of the tight-candidate system
-    for idx in row_indices:
-        coeffs = [0] * n
-        for e in idx:
-            coeffs[e] = 1
-        constraints.append((coeffs, 1))
-    for e in range(n):
-        unit = [0] * n
-        unit[e] = 1
-        constraints.append((unit, 0))
-        constraints.append((unit, 1))
+    tight_rows = [[1 if e in idx else 0 for e in range(n)] for idx in row_indices]
+    units = [[1 if e == f else 0 for e in range(n)] for f in range(n)]
 
-    def feasible(x):
-        if any(v < 0 or v > 1 for v in x):
+    def feasible(num, den):
+        if any(v < 0 or v > den for v in num):
             return False
-        return all(sum(x[e] for e in idx) >= 1 for idx in row_indices)
+        return all(sum(num[e] for e in idx) >= den for idx in row_indices)
 
     best = None
-    for chosen in combinations(range(len(constraints)), n):
-        x = gaussian_solve(
-            [constraints[i][0] for i in chosen], [constraints[i][1] for i in chosen]
-        )
-        if x is None or not feasible(x):
-            continue
-        value = sum(w * v for w, v in zip(weights, x))
-        if best is None or value < best:
-            best = value
+    # A candidate vertex takes r covering rows and n - r bounds.  The bounds
+    # x_e = 0 and x_e = 1 have parallel rows, so a nonsingular candidate picks
+    # at most one of them per edge; the others are skipped unsolved.
+    for r in range(min(len(row_indices), n) + 1):
+        for rows in combinations(tight_rows, r):
+            for bounded in combinations(range(n), n - r):
+                system = list(rows) + [units[e] for e in bounded]
+                for bounds in product((0, 1), repeat=n - r):
+                    solved = fraction_free_solve(system, [1] * r + list(bounds))
+                    if solved is None:
+                        break  # the same singular matrix for every choice of bounds
+                    if not feasible(*solved):
+                        continue
+                    num, den = solved
+                    value = Fraction(sum(w * v for w, v in zip(weights, num)), den)
+                    if best is None or value < best:
+                        best = value
     return best
 
 

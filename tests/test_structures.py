@@ -8,12 +8,13 @@ import pytest
 
 from kcover.graph import EdgeSet, WeightedGraph, complete_graph, remove_edges
 from kcover.structures import (
+    MAX_K,
+    CoveringProblem,
     EdgeStructure,
     EnumerationCapError,
     build_incidence,
     enumerate_k_cliques,
     enumerate_k_cycles,
-    union_structure_edges,
     verify_cover,
 )
 
@@ -180,21 +181,16 @@ class TestIncidence:
     def test_foreign_structure_rejected(self):
         g = WeightedGraph.build(range(4), [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         alien = EdgeStructure("cycle", (1, 2, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             build_incidence(g, [alien])
+        assert str(exc.value) == "structure (1, 2, 3) uses edges not in graph: [(1, 3), (2, 3)]"
 
-
-class TestUnionEdges:
-    def test_empty(self):
-        assert union_structure_edges([]) == EdgeSet()
-
-    def test_all_triangles_of_k4(self):
-        g = complete_graph(4)
-        assert union_structure_edges(enumerate_k_cycles(g, 3)) == g.edge_set()
-
-    def test_single_triangle(self):
-        tri = EdgeStructure("cycle", (0, 1, 2))
-        assert union_structure_edges([tri]) == EdgeSet([(0, 1), (0, 2), (1, 2)])
+    def test_rows_of_non_canonical_structures(self):
+        # A row lists the positions of s.edges, whatever the vertex order or repeats.
+        walk = EdgeStructure("cycle", (0, 1, 0, 2))  # not simple: uses 0-1 and 0-2 twice
+        unsorted = EdgeStructure("clique", (2, 1, 0))
+        m = build_incidence(complete_graph(4), [walk, unsorted])
+        assert m.row_edge_indices == ((0, 1), (0, 1, 3))
 
 
 class TestVerifyCover:
@@ -242,6 +238,32 @@ class TestVerifyCover:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             verify_cover(complete_graph(3), 3, "loop", EdgeSet())
+
+
+def ring(n):
+    return WeightedGraph.build(range(n), [(v, (v + 1) % n, 1) for v in range(n)])
+
+
+class TestMaxK:
+    # The enumerators recurse once per vertex of a structure, so an uncapped
+    # k would end in RecursionError rather than a ValueError.
+    def test_k_above_cap_rejected(self):
+        g = ring(MAX_K + 1)
+        calls = [
+            lambda: enumerate_k_cycles(g, MAX_K + 1),
+            lambda: enumerate_k_cliques(g, MAX_K + 1),
+            lambda: verify_cover(g, MAX_K + 1, "cycle", EdgeSet()),
+            lambda: CoveringProblem(g, 3 * MAX_K, "cycle"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"k must be at most {MAX_K}, got"):
+                call()
+
+    def test_k_at_cap_enumerates(self):
+        g = ring(MAX_K)
+        assert [c.vertices for c in enumerate_k_cycles(g, MAX_K)] == [tuple(range(MAX_K))]
+        assert not verify_cover(g, MAX_K, "cycle", EdgeSet())
+        assert verify_cover(g, MAX_K, "cycle", EdgeSet([(0, 1)]))
 
 
 class TestNoReferenceCycles:
