@@ -1,7 +1,8 @@
 """Every certificate the solvers hand back is checked here, in exact arithmetic.
 
 The checks are program logic rather than assertions, so they also run
-under ``python -O``; a failed check raises CertificateError.  Checks that
+under ``python -O``; a failed check raises CertificateError and a passing
+one returns None, so no solver reads anything back from here.  Checks that
 need a cover's feasibility take the covering problem and ask it to
 re-enumerate, so they never trust stored incidence rows.
 """
@@ -9,7 +10,7 @@ re-enumerate, so they never trust stored incidence rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .graph import EdgeSet, WeightedGraph, remove_edges, total_weight, two_coloring
 
@@ -29,7 +30,7 @@ def _scaled(values) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def check_lp_certificate(rows, weights, x, objective, y) -> tuple[int, list[int], int]:
+def check_lp_certificate(rows, weights, x, objective, y) -> None:
     """Prove that x is optimal for min{w.x : Ax >= 1, 0 <= x <= 1} with dual y.
 
     `rows` lists each row's column indices.  x is scaled to integers by the
@@ -38,8 +39,8 @@ def check_lp_certificate(rows, weights, x, objective, y) -> tuple[int, list[int]
     max_e x_e >= 1/|row|, the primal objective, dual signs and strong
     duality.  The upper-bound multipliers are the tightest ones,
     z* = max(0, A'y - w) per column, so (y, z*) is dual feasible by
-    construction.  Returns the certified dual scaled by d, as
-    (d, [y * d], sum(z*) * d).
+    construction.  Passing proves sum(y) - sum(z*) = objective, so
+    sum(z*) * d = sum(y * d) - objective * d is an int (see exact.py).
     """
     require(len(x) == len(weights), "LP certificate: wrong number of values")
     require(len(y) == len(rows), "LP certificate: wrong number of dual multipliers")
@@ -62,7 +63,6 @@ def check_lp_certificate(rows, weights, x, objective, y) -> tuple[int, list[int]
     offset = sum(l - w * dy for l, w in zip(load, weights) if l > w * dy)
     require((sum(ys) - offset) * objective.denominator == objective.numerator * dy,
             "LP certificate: strong duality violated")
-    return dy, ys, offset
 
 
 def check_cover(problem, result) -> None:
@@ -101,11 +101,12 @@ def check_exact_cover(problem, cover: EdgeSet, weight: int, lp_objective) -> Non
     require(problem.is_cover(cover), "exact cover is infeasible")
 
 
-def check_packing(g: WeightedGraph, k: int, cliques) -> None:
-    """The cliques are pairwise edge-disjoint, so at most |E|/C(k,2) of them."""
+def check_packing(problem, chosen) -> None:
+    """The structures are pairwise edge-disjoint, so at most |E|/t of them."""
     used: set = set()
-    for s in cliques:
+    for s in chosen:
         edges = set(s.edges)
         require(not used & edges, "packing shares an edge")
         used |= edges
-    require(len(cliques) <= g.edge_count // comb(k, 2), "packing exceeds |E|/C(k,2)")
+    require(len(chosen) <= problem.g.edge_count // problem.edges_per_structure,
+            "packing exceeds |E|/t")

@@ -25,15 +25,12 @@ from .cover import (
     cover_k_cycles_basic,
     cover_k_cycles_odd,
 )
-from .exact import (
-    DEFAULT_NODE_BUDGET,
-    exact_max_packing,
-    exact_min_cover,
-)
+from .exact import DEFAULT_NODE_BUDGET, exact_max_packing, exact_min_cover, max_packing, min_cover
 from .graph import EdgeSet, GraphFormatError, complete_graph, parse_edge_set, parse_graph
 from .graph import _foreign_edges
 from .structures import (
     DEFAULT_MAX_STRUCTURES,
+    CoveringProblem,
     EnumerationCapError,
     complete_graph_structure_count,
     verify_cover,
@@ -163,13 +160,10 @@ def cmd_ratio_study(args) -> int:
 
     rows = []
     for n in range(lo, hi + 1):
-        g = complete_graph(n)
-        cover = exact_min_cover(
-            g, args.k, args.kind, max_structures=args.max_structures, node_budget=args.node_budget
-        )
-        packing = exact_max_packing(
-            g, args.k, max_structures=args.max_structures, node_budget=args.node_budget
-        )
+        # One problem per n: tau covers and nu packs the same k-structures.
+        problem = CoveringProblem(complete_graph(n), args.k, args.kind, cap)
+        cover = min_cover(problem, args.node_budget)
+        packing = max_packing(problem, args.node_budget)
         if not (cover.solved and packing.solved):
             rows.append({"n": n, "status": "unsolved"})
             continue

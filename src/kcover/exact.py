@@ -3,8 +3,8 @@
 Both solvers are plain depth-first branch and bound over edge bitmasks with
 deterministic branching, so repeated runs return identical optima.  They
 count search nodes against an explicit budget and report "unsolved" when it
-runs out rather than ever returning an unproven answer.  Both run on a
-CoveringProblem, whose rows, bitmasks and LP optimum they reuse.
+runs out rather than ever returning an unproven answer.  Both take one
+CoveringProblem of either kind and reuse its rows, bitmasks and certified LP.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import lp
 from .certificates import check_exact_cover, check_packing
 from .graph import EdgeSet, WeightedGraph
 from .structures import DEFAULT_MAX_STRUCTURES, CoveringProblem, EdgeStructure
@@ -40,7 +39,7 @@ class ExactCover:
 
 @dataclass(frozen=True)
 class ExactPacking:
-    """Provably maximum family of pairwise edge-disjoint k-cliques."""
+    """Provably maximum family of pairwise edge-disjoint k-structures, in `cliques`."""
 
     status: str
     cliques: tuple[EdgeStructure, ...] | None
@@ -63,20 +62,22 @@ class _CoverSearch:
     are handled for free); its candidate edges are tried in descending
     weight.  Branch i commits edge i and forbids edges 0..i-1, so subtrees
     are disjoint.  Lower bound: max of a greedy edge-disjoint-row bound and
-    a bound inherited from the root LP dual (y*, z*) as certified by
-    check_lp_certificate, scaled by d to integers: restricting y* to the
-    still-uncovered rows stays dual-feasible for the residual system once
-    the constant upper-bound slack sum(z*) is paid, so
-    ceil((sum(y*d over uncovered) - sum(z*d)) / d) lower-bounds any
-    completion.  The sums are ints, so no node does rational arithmetic.
+    a bound inherited from the root LP dual (y*, z*), scaled by d to
+    integers: restricting y* to the still-uncovered rows stays dual-feasible
+    for the residual system once the constant upper-bound slack sum(z*) is
+    paid, so ceil((sum(y*d over uncovered) - sum(z*d)) / d) lower-bounds any
+    completion.  y*d is the certified solution's stored form, and sum(z*d)
+    = sum(y*d) - objective*d is an int, since the certificate proved
+    sum(y*) - sum(z*) = objective.  No node does rational arithmetic.
     """
 
-    def __init__(self, row_masks, row_edges, weights, dual, budget):
+    def __init__(self, row_masks, row_edges, weights, solution, budget):
         self.row_masks = row_masks
         self.row_edges = row_edges  # per row: edge ids sorted by (-weight, id)
         self.weights = weights
-        self.dual_scale, duals, self.dual_offset = dual  # d, [y* d], sum(z*) d
-        self.nonzero_duals = [(i, y) for i, y in enumerate(duals) if y > 0]
+        self.dual_scale, support, scaled = solution.scaled_dual  # d, rows, [y* d]
+        self.nonzero_duals = list(zip(support, scaled))
+        self.dual_offset = int(sum(scaled) - solution.objective * self.dual_scale)  # sum(z*) d
         self.budget = budget
         self.nodes = 0
         self.best_weight: int | None = None
@@ -143,8 +144,9 @@ class _CoverSearch:
 def min_cover(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactCover:
     """Minimum-weight cover of the problem's structures by branch and bound.
 
-    The returned weight is provably optimal; if the node budget runs out
-    the result is explicitly "unsolved", never a guess.
+    The dual bound is read off the LP optimum that `problem.solve()` has
+    already certified.  The returned weight is provably optimal; if the node
+    budget runs out the result is explicitly "unsolved", never a guess.
     """
     if not problem.structures:
         return ExactCover("optimal", EdgeSet(), 0, 0)
@@ -153,9 +155,8 @@ def min_cover(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) 
     weights = g.weights
     rows = problem.incidence.row_edge_indices
     row_edges = [tuple(sorted(idx, key=lambda e: (-weights[e], e))) for idx in rows]
-    dual = lp.check_certificate(problem.incidence, g, relaxation)
 
-    search = _CoverSearch(problem.row_masks, row_edges, weights, dual, node_budget)
+    search = _CoverSearch(problem.row_masks, row_edges, weights, relaxation, node_budget)
     if not search.run():
         return ExactCover("unsolved", None, None, search.nodes)
 
@@ -177,11 +178,11 @@ def exact_min_cover(
 
 
 class _PackingSearch:
-    """Include/exclude the first clique that is edge-disjoint from the chosen ones."""
+    """Include/exclude the first structure that is edge-disjoint from the chosen ones."""
 
-    def __init__(self, masks, clique_edge_count, budget):
+    def __init__(self, masks, edges_per_structure, budget):
         self.masks = masks
-        self.per_clique = clique_edge_count
+        self.per_structure = edges_per_structure
         self.budget = budget
         self.nodes = 0
         self.best_count = -1
@@ -208,7 +209,7 @@ class _PackingSearch:
         free = 0
         for i in available:
             free |= self.masks[i]
-        bound = len(chosen) + min(len(available), free.bit_count() // self.per_clique)
+        bound = len(chosen) + min(len(available), free.bit_count() // self.per_structure)
         if bound <= self.best_count:
             return
 
@@ -218,19 +219,17 @@ class _PackingSearch:
 
 
 def max_packing(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactPacking:
-    """Maximum-cardinality family of edge-disjoint k-cliques, exactly."""
-    if problem.kind != "clique":
-        raise ValueError(f"packing needs a clique problem, got kind {problem.kind!r}")
-    cliques = problem.structures
-    if not cliques:
+    """Maximum family of edge-disjoint structures of the problem, either kind, exactly."""
+    structures = problem.structures
+    if not structures:
         return ExactPacking("optimal", (), 0, 0)
 
     search = _PackingSearch(problem.row_masks, problem.edges_per_structure, node_budget)
     if not search.run():
         return ExactPacking("unsolved", None, None, search.nodes)
 
-    chosen = tuple(cliques[i] for i in search.best)
-    check_packing(problem.g, problem.k, chosen)
+    chosen = tuple(structures[i] for i in search.best)
+    check_packing(problem, chosen)
     return ExactPacking("optimal", chosen, search.best_count, search.nodes)
 
 

@@ -54,12 +54,12 @@ class FractionalSolution:
     multiplier per incidence row (zero for rows that never became active).
     Only the nonzero multipliers are stored, as ints over their least
     common denominator, so equal duals are stored alike; `dual` rebuilds
-    the dense tuple on each read.
+    the dense tuple on each read, and `scaled_dual` hands out the stored
+    form itself.
     """
 
     values: dict[Edge, Fraction]
     objective: Fraction
-    status: str
     _rows: int
     _dual_den: int
     _support: tuple[int, ...]  # the rows with a nonzero multiplier, ascending
@@ -70,14 +70,12 @@ class FractionalSolution:
         values: dict[Edge, Fraction],
         objective: Fraction,
         dual: Sequence[Fraction],
-        status: str = "optimal",
     ):
         nonzero = [(i, v) for i, v in enumerate(dual) if v]
         den = lcm(*(v.denominator for _, v in nonzero))
         put = object.__setattr__
         put(self, "values", values)
         put(self, "objective", objective)
-        put(self, "status", status)
         put(self, "_rows", len(dual))
         put(self, "_dual_den", den)
         put(self, "_support", tuple(i for i, _ in nonzero))
@@ -90,9 +88,14 @@ class FractionalSolution:
             dense[i] = Fraction(v, self._dual_den)
         return tuple(dense)
 
+    @property
+    def scaled_dual(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The nonzero multipliers as (d, their rows ascending, [y * d]), all ints."""
+        return self._dual_den, self._support, self._dual_nums
+
     def __repr__(self) -> str:
         return (f"FractionalSolution(values={self.values!r}, objective={self.objective!r}, "
-                f"dual={self.dual!r}, status={self.status!r})")
+                f"dual={self.dual!r})")
 
 
 class _DualSimplex:
@@ -121,10 +124,14 @@ class _DualSimplex:
     pi_den * piv and divides out the gcd.  Every denominator is positive, so
     every comparison, and so every pivot, is the one exact rationals give.
 
-    Entering rule: Dantzig (most negative reduced cost) with ties broken by
-    the global column order y_0..y_{m-1}, z_0..z_{n-1}, t_0..t_{n-1}; after
-    a run of degenerate pivots the rule switches to Bland's least-index
-    rule until the objective moves again, which preserves the termination
+    Entering rule: Dantzig (most negative reduced cost).  Ties go to the
+    least structure column y_s, and a z or t column displaces it only when
+    strictly better.  The z and t columns are scanned edge by edge (an edge
+    is eligible through at most one of them), so among them ties go to the
+    least edge whichever kind it is: t_e beats an equal z_e' when e < e'.
+    This is not the global order y, z, t.  After a run of degenerate pivots
+    the rule switches to Bland's least-index rule (in that global order)
+    until the objective moves again, which preserves the termination
     guarantee while avoiding Bland's slow typical-case behaviour.
 
     Structure columns are activated lazily: whenever the active set prices
@@ -306,24 +313,21 @@ def solve_covering_lp(
     tableau = _DualSimplex(m.row_edge_indices, g.weights)
     tableau.run(pivot_limit)
     solution = tableau.solution(g.edges)
-    x = list(solution.values.values())
-    check_lp_certificate(m.row_edge_indices, g.weights, x, solution.objective, solution.dual)
+    check_certificate(m, g, solution)
     return solution
 
 
-def check_certificate(
-    m: IncidenceMatrix, g: WeightedGraph, sol: FractionalSolution
-) -> tuple[int, list[int], int]:
-    """Validate a solution produced elsewhere before reusing it.
+def check_certificate(m: IncidenceMatrix, g: WeightedGraph, sol: FractionalSolution) -> None:
+    """Prove `sol` optimal for this exact system, whoever produced it.
 
-    Raises CertificateError (a ValueError) unless `sol` is feasible and its
-    dual certificate proves optimality for this exact system.  Returns the
-    certified dual scaled to integers; see check_lp_certificate.
+    Raises CertificateError (a ValueError) unless `sol` is keyed by the
+    graph's edges, feasible, and its dual certificate proves optimality;
+    see check_lp_certificate.
     """
     if set(sol.values) != set(g.edges):
         raise CertificateError("solution is keyed by a different edge set")
     x = [sol.values[e] for e in g.edges]
-    return check_lp_certificate(m.row_edge_indices, g.weights, x, sol.objective, sol.dual)
+    check_lp_certificate(m.row_edge_indices, g.weights, x, sol.objective, sol.dual)
 
 
 def format_lp(m: IncidenceMatrix, g: WeightedGraph) -> str:

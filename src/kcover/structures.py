@@ -64,10 +64,6 @@ class EdgeStructure:
     vertices: tuple[int, ...]
 
     @property
-    def k(self) -> int:
-        return len(self.vertices)
-
-    @property
     def edges(self) -> EdgeSet:
         return EdgeSet(_edge_pairs(self.kind, self.vertices))
 

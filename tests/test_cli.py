@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import kcover.structures
 from kcover.cli import main
 from kcover.graph import MAX_VERTICES, complete_graph, serialize_graph
 from kcover.structures import MAX_K
@@ -279,6 +280,28 @@ class TestRatioStudy:
         )
         assert code == 3
         assert "status=unsolved" in out
+
+    def test_one_enumeration_per_n(self, capsys, monkeypatch):
+        calls = []
+        enumerate_ = kcover.structures._enumerate
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_(*args)
+
+        monkeypatch.setattr(kcover.structures, "_enumerate", counted)
+        code, _ = run_cli(capsys, "ratio-study", "--k", "3", "--kind", "clique", "--n-range", "3:6")
+        assert code == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("k, n_range, nus", [(4, "4:7", [1, 1, 3, 4]), (5, "5:7", [2, 2, 3])])
+    def test_cycle_nu_packs_cycles(self, capsys, k, n_range, nus):
+        argv = ["--k", str(k), "--kind", "cycle", "--n-range", n_range, "--format", "structured"]
+        code, out = run_cli(capsys, "ratio-study", *argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["nu"] for row in rows] == nus
+        assert all(row["nu"] <= row["tau"] <= k * row["nu"] for row in rows)
 
     @pytest.mark.parametrize("kind", ["clique", "cycle"])
     def test_huge_n_rejected_before_building(self, capsys, monkeypatch, kind):

@@ -10,6 +10,7 @@ from kcover.exact import (
     UnsolvedInstanceError,
     exact_max_packing,
     exact_min_cover,
+    max_packing,
     sandwich_check,
     turan_graph_edge_count,
     turan_tau_complete,
@@ -17,6 +18,7 @@ from kcover.exact import (
 from kcover.graph import EdgeSet, WeightedGraph, complete_graph, total_weight
 from kcover.lp import solve_covering_lp
 from kcover.structures import (
+    CoveringProblem,
     build_incidence,
     enumerate_k_cliques,
     enumerate_k_cycles,
@@ -59,11 +61,10 @@ def brute_min_cover_weight(g, k, kind):
     return best
 
 
-def brute_max_packing_count(g, k):
-    cliques = enumerate_k_cliques(g, k)
+def brute_max_packing_count(g, structures):
     index = g.edge_index
     masks = []
-    for s in cliques:
+    for s in structures:
         mask = 0
         for e in s.edges:
             mask |= 1 << index[e]
@@ -277,8 +278,26 @@ class TestExactMaxPacking:
                 continue
             res = exact_max_packing(g, 3)
             assert res.solved
-            assert res.count == brute_max_packing_count(g, 3)
+            assert res.count == brute_max_packing_count(g, enumerate_k_cliques(g, 3))
             cases += 1
+
+    def test_cycle_packing_matches_brute_force(self):
+        # max_packing packs the problem's own structures, cycles included.
+        rng = random.Random(707)
+        graphs = [complete_graph(5)]
+        graphs += [random_graph(rng, rng.randint(4, 7), rng.choice([0.5, 0.8])) for _ in range(12)]
+        counts = []
+        for g in graphs:
+            for k in (3, 4, 5):
+                cycles = enumerate_k_cycles(g, k)
+                if len(cycles) > 15:
+                    continue
+                res = max_packing(CoveringProblem(g, k, "cycle"))
+                assert res.solved
+                assert res.count == brute_max_packing_count(g, cycles)
+                assert all(s.kind == "cycle" and len(s.vertices) == k for s in res.cliques)
+                counts.append(res.count)
+        assert len(counts) >= 20 and max(counts) >= 2
 
     def test_packing_edge_bound(self):
         g = complete_graph(6)

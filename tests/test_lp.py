@@ -297,6 +297,17 @@ class TestStoredDual:
         assert all(type(y) is Fraction for y in sol.dual)
         assert FractionalSolution(sol.values, sol.objective, ()).dual == ()
 
+    def test_scaled_dual_is_the_stored_form(self):
+        g = complete_graph(6)
+        sol = solve_covering_lp(build_incidence(g, enumerate_k_cycles(g, 3)), g)
+        d, rows, scaled = sol.scaled_dual
+        assert all(type(v) is int for v in (d, *rows, *scaled))
+        assert list(rows) == sorted(set(rows)) and all(v > 0 for v in scaled)
+        nonzero = {i: y for i, y in enumerate(sol.dual) if y}
+        assert {i: Fraction(v, d) for i, v in zip(rows, scaled)} == nonzero
+        assert FractionalSolution(sol.values, sol.objective, ()).scaled_dual == (1, (), ())
+        assert FractionalSolution.scaled_dual.fset is None  # read-only
+
     def test_equal_solutions_compare_equal(self):
         g = complete_graph(6)  # 20 triangles, 15 edges: some multipliers are zero
         m = build_incidence(g, enumerate_k_cycles(g, 3))
@@ -325,7 +336,7 @@ class TestStoredDual:
         m = build_incidence(g, enumerate_k_cycles(g, 5))
         sol = solve_covering_lp(m, g)
         assert m.row_count == 252 > g.edge_count == 21
-        assert 0 < len(sol._dual_nums) <= g.edge_count
+        assert 0 < len(sol.scaled_dual[1]) <= g.edge_count
         assert len(sol.dual) == m.row_count
 
 

@@ -82,9 +82,20 @@ class TestSharedProblem:
         with pytest.raises(ValueError, match="odd k"):
             round_improved(CoveringProblem(complete_graph(5), 4, "cycle"))
 
-    def test_packing_needs_cliques(self):
-        with pytest.raises(ValueError):
-            max_packing(CoveringProblem(complete_graph(5), 3, "cycle"))
+    def test_min_cover_checks_the_certificate_once(self, monkeypatch):
+        checks = counting(monkeypatch, kcover.lp, "check_lp_certificate")
+        oracle = min_cover(CoveringProblem(wheel(8), 3, "cycle"))
+        assert oracle.solved
+        assert len(checks) == 1
+
+    def test_cover_and_packing_share_one_enumeration(self, monkeypatch):
+        enumerations = counting(monkeypatch, kcover.structures, "_enumerate")
+        problem = CoveringProblem(complete_graph(6), 4, "cycle")
+        tau = min_cover(problem).weight
+        nu = max_packing(problem).count
+        assert len(enumerations) == 1
+        assert (nu, tau) == (3, 8)
+        assert nu <= tau <= problem.edges_per_structure * nu
 
 
 class TestCertificates:
@@ -115,10 +126,21 @@ class TestCertificates:
 
     def test_solver_output_passes(self):
         rows, weights, x, objective, y = self.certificate(wheel(8))
-        d, ys, offset = check_lp_certificate(rows, weights, x, objective, y)
-        assert all(isinstance(v, int) for v in ys + [d, offset])
-        assert [Fraction(v, d) for v in ys] == y
-        assert Fraction(sum(ys) - offset, d) == objective
+        assert check_lp_certificate(rows, weights, x, objective, y) is None
+
+    def test_stored_dual_gives_the_integer_slack(self):
+        # The oracle's dual bound: sum(z*) d = sum(y d) - objective d, an
+        # int, equal to the tightest upper-bound multipliers max(0, A'y - w).
+        problem = CoveringProblem(wheel(8), 3, "cycle")
+        sol = problem.solve()
+        d, support, scaled = sol.scaled_dual
+        slack = sum(scaled) - sol.objective * d
+        assert slack.denominator == 1
+        load = [0] * problem.g.edge_count
+        for r, v in zip(support, scaled):
+            for e in problem.incidence.row_edge_indices[r]:
+                load[e] += v
+        assert slack == sum(max(0, l - w * d) for l, w in zip(load, problem.g.weights))
 
     @pytest.mark.parametrize(
         "tamper, message",
