@@ -30,21 +30,21 @@ def _scaled(values) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def check_lp_certificate(rows, weights, x, objective, y) -> None:
-    """Prove that x is optimal for min{w.x : Ax >= 1, 0 <= x <= 1} with dual y.
+def check_lp_certificate(rows, g: WeightedGraph, sol) -> None:
+    """Prove the FractionalSolution `sol` optimal for min{w.x : Ax >= 1, 0 <= x <= 1}.
 
-    `rows` lists each row's column indices.  x is scaled to integers by the
-    LCM of its denominators and y by d, the LCM of its own, so every
-    condition is checked in int arithmetic: box, rows, the pigeonhole bound
-    max_e x_e >= 1/|row|, the primal objective, dual signs and strong
-    duality.  The upper-bound multipliers are the tightest ones,
-    z* = max(0, A'y - w) per column, so (y, z*) is dual feasible by
-    construction.  Passing proves sum(y) - sum(z*) = objective, so
-    sum(z*) * d = sum(y * d) - objective * d is an int (see exact.py).
+    `rows` lists each row's column indices in g's edge order.  x is scaled to
+    ints by the LCM of its denominators and the dual is read as stored (y *
+    dual_den on dual_rows), so every condition is checked in int arithmetic:
+    box, rows, the pigeonhole bound max_e x_e >= 1/|row|, the objective, the
+    stored dual's shape and signs, and strong duality.  The upper-bound
+    multipliers are the tightest ones, z* = max(0, A'y - w) per column, so
+    (y, z*) is dual feasible by construction.  Passing proves sum(y) -
+    sum(z*) = objective, so sum(z*) * dual_den is an int (see exact.py).
     """
-    require(len(x) == len(weights), "LP certificate: wrong number of values")
-    require(len(y) == len(rows), "LP certificate: wrong number of dual multipliers")
-    dx, xs = _scaled(x)
+    require(set(sol.values) == set(g.edges), "solution is keyed by a different edge set")
+    weights, objective = g.weights, sol.objective
+    dx, xs = _scaled([sol.values[e] for e in g.edges])
     require(all(0 <= v <= dx for v in xs), "LP certificate: box bounds violated")
     for idx in rows:
         require(sum(xs[e] for e in idx) >= dx, "LP certificate: cover constraint violated")
@@ -53,13 +53,16 @@ def check_lp_certificate(rows, weights, x, objective, y) -> None:
     require(primal * objective.denominator == objective.numerator * dx,
             "LP certificate: objective mismatch")
 
-    dy, ys = _scaled(y)
-    require(all(v >= 0 for v in ys), "LP certificate: negative dual multiplier")
+    dy, support, ys = sol.dual_den, sol.dual_rows, sol.dual_nums
+    require(sol.row_count == len(rows), "LP certificate: wrong number of dual multipliers")
+    require(len(support) == len(ys)
+            and all(a < b for a, b in zip((-1, *support), (*support, len(rows)))),
+            "LP certificate: dual rows not strictly ascending within range")
+    require(dy > 0 and all(v > 0 for v in ys), "LP certificate: zero or negative dual multiplier")
     load = [0] * len(weights)
-    for idx, v in zip(rows, ys):
-        if v:
-            for e in idx:
-                load[e] += v
+    for r, v in zip(support, ys):
+        for e in rows[r]:
+            load[e] += v
     offset = sum(l - w * dy for l, w in zip(load, weights) if l > w * dy)
     require((sum(ys) - offset) * objective.denominator == objective.numerator * dy,
             "LP certificate: strong duality violated")
@@ -102,10 +105,13 @@ def check_exact_cover(problem, cover: EdgeSet, weight: int, lp_objective) -> Non
 
 
 def check_packing(problem, chosen) -> None:
-    """The structures are pairwise edge-disjoint, so at most |E|/t of them."""
+    """Each structure is the problem's own and no two share an edge, so at most |E|/t."""
     used: set = set()
     for s in chosen:
         edges = set(s.edges)
+        require(s.kind == problem.kind and len(set(s.vertices)) == len(s.vertices) == problem.k
+                and edges <= problem.g.edge_index.keys(),
+                f"packing structure {s.vertices} is not in the problem")
         require(not used & edges, "packing shares an edge")
         used |= edges
     require(len(chosen) <= problem.g.edge_count // problem.edges_per_structure,

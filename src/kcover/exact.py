@@ -66,8 +66,9 @@ class _CoverSearch:
     integers: restricting y* to the still-uncovered rows stays dual-feasible
     for the residual system once the constant upper-bound slack sum(z*) is
     paid, so ceil((sum(y*d over uncovered) - sum(z*d)) / d) lower-bounds any
-    completion.  y*d is the certified solution's stored form, and sum(z*d)
-    = sum(y*d) - objective*d is an int, since the certificate proved
+    completion.  d, the rows with y* > 0 and their y*d are the certified
+    solution's stored dual_den, dual_rows and dual_nums, and sum(z*d) =
+    sum(y*d) - objective*d is an int, since the certificate proved
     sum(y*) - sum(z*) = objective.  No node does rational arithmetic.
     """
 
@@ -75,9 +76,9 @@ class _CoverSearch:
         self.row_masks = row_masks
         self.row_edges = row_edges  # per row: edge ids sorted by (-weight, id)
         self.weights = weights
-        self.dual_scale, support, scaled = solution.scaled_dual  # d, rows, [y* d]
-        self.nonzero_duals = list(zip(support, scaled))
-        self.dual_offset = int(sum(scaled) - solution.objective * self.dual_scale)  # sum(z*) d
+        self.dual_scale = solution.dual_den
+        self.nonzero_duals = list(zip(solution.dual_rows, solution.dual_nums))
+        self.dual_offset = int(sum(solution.dual_nums) - solution.objective * solution.dual_den)
         self.budget = budget
         self.nodes = 0
         self.best_weight: int | None = None

@@ -6,7 +6,8 @@ every number is a Python int: the basis inverse and its right-hand side
 are integers over one common denominator (fraction-free, or
 integer-preserving, pivoting; Edmonds 1967, Bareiss 1968), and the simplex
 multipliers are integers over their least common denominator.  Rationals
-are formed only once, for the answer.
+are formed only for the primal answer; the dual stays in ints (see
+FractionalSolution).
 
 The system has one row per k-structure and one column per edge; dense
 instances can carry thousands of rows but only |E| columns.  The solver
@@ -20,18 +21,18 @@ degenerate stalling.  Structure columns (y) are activated lazily:
 whenever the active columns price out optimal, inactive rows are priced
 and violated ones enter in batches.  The simplex multipliers of the final
 basis are exactly the primal optimum x*, and the basic y values are a dual
-feasible vector certifying optimality; both are verified before returning.
+feasible vector certifying optimality; check_lp_certificate verifies both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from .certificates import CertificateError, check_lp_certificate
+from .certificates import check_lp_certificate
 from .graph import Edge, WeightedGraph
 
 if TYPE_CHECKING:
@@ -46,56 +47,32 @@ class SimplexIterationError(RuntimeError):
     """Internal error: the pivot cap was hit despite the anti-cycling rule."""
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True)
 class FractionalSolution:
     """Exact optimal solution of the covering LP with its dual certificate.
 
-    `values` maps every edge to a rational in [0, 1]; `dual` holds one
-    multiplier per incidence row (zero for rows that never became active).
-    Only the nonzero multipliers are stored, as ints over their least
-    common denominator, so equal duals are stored alike; `dual` rebuilds
-    the dense tuple on each read, and `scaled_dual` hands out the stored
-    form itself.
+    `values` maps every edge to a rational in [0, 1].  Of the `row_count`
+    dual multipliers y, one per incidence row, only the nonzero ones are
+    stored, as ints over their least common denominator `dual_den`:
+    `dual_rows` lists their rows ascending and `dual_nums` holds each
+    y * dual_den > 0.  This is the one form of the dual: the simplex writes
+    it, certificates.check_lp_certificate checks it and the exact oracle
+    reads it.  `dual` rebuilds the dense tuple on each read.
     """
 
     values: dict[Edge, Fraction]
     objective: Fraction
-    _rows: int
-    _dual_den: int
-    _support: tuple[int, ...]  # the rows with a nonzero multiplier, ascending
-    _dual_nums: tuple[int, ...]  # their multipliers times _dual_den
-
-    def __init__(
-        self,
-        values: dict[Edge, Fraction],
-        objective: Fraction,
-        dual: Sequence[Fraction],
-    ):
-        nonzero = [(i, v) for i, v in enumerate(dual) if v]
-        den = lcm(*(v.denominator for _, v in nonzero))
-        put = object.__setattr__
-        put(self, "values", values)
-        put(self, "objective", objective)
-        put(self, "_rows", len(dual))
-        put(self, "_dual_den", den)
-        put(self, "_support", tuple(i for i, _ in nonzero))
-        put(self, "_dual_nums", tuple(v.numerator * (den // v.denominator) for _, v in nonzero))
+    row_count: int
+    dual_den: int
+    dual_rows: tuple[int, ...]
+    dual_nums: tuple[int, ...]
 
     @property
     def dual(self) -> tuple[Fraction, ...]:
-        dense = [_ZERO] * self._rows
-        for i, v in zip(self._support, self._dual_nums):
-            dense[i] = Fraction(v, self._dual_den)
+        dense = [_ZERO] * self.row_count
+        for i, v in zip(self.dual_rows, self.dual_nums):
+            dense[i] = Fraction(v, self.dual_den)
         return tuple(dense)
-
-    @property
-    def scaled_dual(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """The nonzero multipliers as (d, their rows ascending, [y * d]), all ints."""
-        return self._dual_den, self._support, self._dual_nums
-
-    def __repr__(self) -> str:
-        return (f"FractionalSolution(values={self.values!r}, objective={self.objective!r}, "
-                f"dual={self.dual!r})")
 
 
 class _DualSimplex:
@@ -282,15 +259,12 @@ class _DualSimplex:
         m, n, den = self.m, self.n, self.pi_den
         shared = {p: Fraction(p, den) for p in set(self.pi)}  # one Fraction per value
         values = {e: shared[p] for e, p in zip(edges, self.pi)}
-        dual = [_ZERO] * m
-        total = 0
-        for b, v in zip(self.basis, self.rhs):
-            if b < m:
-                dual[b] = Fraction(v, self.det)
-                total += v
-            elif b < m + n:
-                total -= v
-        return FractionalSolution(values, Fraction(total, self.det), dual)
+        total = sum(v if b < m else -v for b, v in zip(self.basis, self.rhs) if b < m + n)
+        # The nonzero y are rhs / det; det // common is their least common denominator.
+        dual = sorted((b, v) for b, v in zip(self.basis, self.rhs) if b < m and v)
+        common = gcd(self.det, *(v for _, v in dual))
+        return FractionalSolution(values, Fraction(total, self.det), m, self.det // common,
+                                  tuple(b for b, _ in dual), tuple(v // common for _, v in dual))
 
 
 def solve_covering_lp(
@@ -308,26 +282,13 @@ def solve_covering_lp(
     if pivot_limit is None:
         pivot_limit = 10_000 + 20 * (m.row_count + m.column_count)
     if m.row_count == 0:
-        return FractionalSolution({e: _ZERO for e in g.edges}, _ZERO, ())
+        return FractionalSolution({e: _ZERO for e in g.edges}, _ZERO, 0, 1, (), ())
 
     tableau = _DualSimplex(m.row_edge_indices, g.weights)
     tableau.run(pivot_limit)
     solution = tableau.solution(g.edges)
-    check_certificate(m, g, solution)
+    check_lp_certificate(m.row_edge_indices, g, solution)
     return solution
-
-
-def check_certificate(m: IncidenceMatrix, g: WeightedGraph, sol: FractionalSolution) -> None:
-    """Prove `sol` optimal for this exact system, whoever produced it.
-
-    Raises CertificateError (a ValueError) unless `sol` is keyed by the
-    graph's edges, feasible, and its dual certificate proves optimality;
-    see check_lp_certificate.
-    """
-    if set(sol.values) != set(g.edges):
-        raise CertificateError("solution is keyed by a different edge set")
-    x = [sol.values[e] for e in g.edges]
-    check_lp_certificate(m.row_edge_indices, g.weights, x, sol.objective, sol.dual)
 
 
 def format_lp(m: IncidenceMatrix, g: WeightedGraph) -> str:

@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import lp
+from .certificates import check_lp_certificate
 from .graph import Edge, EdgeSet, WeightedGraph, normalize_edge, remove_edges
 
 DEFAULT_MAX_STRUCTURES = 1_000_000
@@ -286,7 +287,7 @@ class CoveringProblem:
             if self._solution is None:
                 self._solution = lp.solve_covering_lp(self.incidence, self.g)
         elif solution is not self._solution:
-            lp.check_certificate(self.incidence, self.g, solution)
+            check_lp_certificate(self.incidence.row_edge_indices, self.g, solution)
             self._solution = solution
         return self._solution
 

@@ -222,7 +222,7 @@ class TestInputValidation:
 
         def bogus(m, g, **kwargs):
             zero = Fraction(0)
-            return FractionalSolution({e: zero for e in g.edges}, zero, (zero,) * m.row_count)
+            return FractionalSolution({e: zero for e in g.edges}, zero, m.row_count, 1, (), ())
 
         monkeypatch.setattr(kcover.lp, "solve_covering_lp", bogus)
         code = main(["cover", k4_file, "--k", "3", "--kind", "cycle"])

@@ -37,12 +37,9 @@ def random_graph(rng, n, p):
 
 
 def fake_solution(values):
-    edges = tuple(sorted(values))
-    return FractionalSolution(
-        {e: Fraction(v) for e, v in values.items()},
-        sum(Fraction(v) for v in values.values()),
-        (),
-    )
+    """A solution with the given values and no rows, for the rounding helpers alone."""
+    fractions = {e: Fraction(v) for e, v in values.items()}
+    return FractionalSolution(fractions, sum(fractions.values(), Fraction(0)), 0, 1, (), ())
 
 
 class TestRoundThreshold:
@@ -294,8 +291,6 @@ class TestPrecomputedSolution:
 
     def test_bogus_injected_solution_rejected(self):
         g = complete_graph(4)
-        bogus = FractionalSolution(
-            {e: Fraction(1) for e in g.edges}, Fraction(6), (Fraction(0),) * 4
-        )
+        bogus = FractionalSolution({e: Fraction(1) for e in g.edges}, Fraction(6), 4, 1, (), ())
         with pytest.raises(ValueError):
             cover_k_cycles_basic(g, 3, solution=bogus)

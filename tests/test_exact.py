@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from kcover.certificates import CertificateError, check_packing
 from kcover.exact import (
     UnsolvedInstanceError,
     exact_max_packing,
@@ -19,6 +20,7 @@ from kcover.graph import EdgeSet, WeightedGraph, complete_graph, total_weight
 from kcover.lp import solve_covering_lp
 from kcover.structures import (
     CoveringProblem,
+    EdgeStructure,
     build_incidence,
     enumerate_k_cliques,
     enumerate_k_cycles,
@@ -308,6 +310,22 @@ class TestExactMaxPacking:
     def test_budget_exhaustion(self):
         res = exact_max_packing(complete_graph(7), 3, node_budget=2)
         assert not res.solved
+
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            EdgeStructure("clique", (3, 4, 5)),  # 3-5 and 4-5 are not edges
+            EdgeStructure("cycle", (0, 1, 2)),  # the other kind
+            EdgeStructure("clique", (0, 1)),  # k - 1 vertices
+        ],
+        ids=["foreign edges", "wrong kind", "wrong k"],
+    )
+    def test_check_packing_rejects_foreign_structures(self, structure):
+        g = WeightedGraph.build(range(6), [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1)])
+        problem = CoveringProblem(g, 3, "clique")
+        check_packing(problem, (EdgeStructure("clique", (0, 1, 2)),))
+        with pytest.raises(CertificateError, match="not in the problem"):
+            check_packing(problem, (structure,))
 
 
 class TestSandwich:

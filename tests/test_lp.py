@@ -1,21 +1,17 @@
 import hashlib
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
 from kcover.graph import WeightedGraph, complete_graph
 from kcover import lp
-from kcover.certificates import CertificateError
-from kcover.lp import (
-    FractionalSolution,
-    SimplexIterationError,
-    check_certificate,
-    format_lp,
-    solve_covering_lp,
-)
+from kcover.certificates import CertificateError, check_lp_certificate
+from kcover.lp import SimplexIterationError, format_lp, solve_covering_lp
 from kcover.structures import build_incidence, enumerate_k_cliques, enumerate_k_cycles
 
 
@@ -140,7 +136,7 @@ class TestRandomInstances:
             sol = solve_covering_lp(m, g)
             # solve_covering_lp asserts feasibility, duality, and pigeonhole
             # internally; re-check the solution from the outside too.
-            check_certificate(m, g, sol)
+            check_lp_certificate(m.row_edge_indices, g, sol)
             for idx in m.row_edge_indices:
                 row = [sol.values[g.edges[e]] for e in idx]
                 assert sum(row) >= 1
@@ -256,7 +252,7 @@ class TestPivotPath:
         with pytest.raises(SimplexIterationError):
             solve_covering_lp(m, g, pivot_limit=20)
         bland = solve_covering_lp(m, g, pivot_limit=28)
-        check_certificate(m, g, bland)
+        check_lp_certificate(m.row_edge_indices, g, bland)
         assert bland.objective == default.objective == 5
 
 
@@ -281,62 +277,86 @@ class TestValidation:
         bad_values = dict(sol.values)
         top = max(bad_values, key=lambda e: (bad_values[e], e))
         bad_values[top] = Fraction(0)
-        tampered = FractionalSolution(bad_values, sol.objective, sol.dual)
+        tampered = replace(sol, values=bad_values)
         with pytest.raises(ValueError):
-            check_certificate(m, g, tampered)
+            check_lp_certificate(m.row_edge_indices, g, tampered)
 
 
 class TestStoredDual:
     """A solution keeps only its nonzero multipliers; `dual` still reads densely."""
 
     def test_dense_dual_reads_back(self):
-        g = complete_graph(3)
-        dual = (Fraction(0), Fraction(1, 3), Fraction(0), Fraction(2, 5), Fraction(0))
-        sol = FractionalSolution({e: Fraction(1, 2) for e in g.edges}, Fraction(3, 2), dual)
-        assert sol.dual == dual
+        g = complete_graph(6)
+        m = build_incidence(g, enumerate_k_cycles(g, 3))
+        sol = solve_covering_lp(m, g)
+        dense = [Fraction(0)] * sol.row_count
+        for r, v in zip(sol.dual_rows, sol.dual_nums):
+            dense[r] = Fraction(v, sol.dual_den)
+        assert sol.row_count == m.row_count == 20
+        assert sol.dual == tuple(dense)
         assert all(type(y) is Fraction for y in sol.dual)
-        assert FractionalSolution(sol.values, sol.objective, ()).dual == ()
+        assert replace(sol, row_count=0, dual_rows=(), dual_nums=()).dual == ()
 
-    def test_scaled_dual_is_the_stored_form(self):
+    def test_stored_dual_is_ints_over_their_lcm(self):
         g = complete_graph(6)
         sol = solve_covering_lp(build_incidence(g, enumerate_k_cycles(g, 3)), g)
-        d, rows, scaled = sol.scaled_dual
+        d, rows, scaled = sol.dual_den, sol.dual_rows, sol.dual_nums
         assert all(type(v) is int for v in (d, *rows, *scaled))
         assert list(rows) == sorted(set(rows)) and all(v > 0 for v in scaled)
         nonzero = {i: y for i, y in enumerate(sol.dual) if y}
         assert {i: Fraction(v, d) for i, v in zip(rows, scaled)} == nonzero
-        assert FractionalSolution(sol.values, sol.objective, ()).scaled_dual == (1, (), ())
-        assert FractionalSolution.scaled_dual.fset is None  # read-only
+        assert d == lcm(*(y.denominator for y in nonzero.values()))
+        empty = solve_covering_lp(build_incidence(g, []), g)
+        assert (empty.row_count, empty.dual_den, empty.dual_rows, empty.dual_nums) == (0, 1, (), ())
 
     def test_equal_solutions_compare_equal(self):
         g = complete_graph(6)  # 20 triangles, 15 edges: some multipliers are zero
         m = build_incidence(g, enumerate_k_cycles(g, 3))
         sol = solve_covering_lp(m, g)
-        rebuilt = FractionalSolution(dict(sol.values), sol.objective, sol.dual)
+        rebuilt = replace(sol, values=dict(sol.values))
         assert rebuilt == sol
         assert pickle.loads(pickle.dumps(sol)) == sol
-        moved = list(sol.dual)
-        i = next(i for i, y in enumerate(moved) if y)
-        j = next(j for j, y in enumerate(moved) if not y)
-        moved[i], moved[j] = moved[j], moved[i]
-        assert FractionalSolution(sol.values, sol.objective, moved) != sol
+        i = sol.dual_rows[0]
+        j = next(j for j in range(sol.row_count) if j not in sol.dual_rows)
+        moved = tuple(sorted((j if r == i else r, v) for r, v in zip(sol.dual_rows, sol.dual_nums)))
+        moved_sol = replace(
+            sol, dual_rows=tuple(r for r, _ in moved), dual_nums=tuple(v for _, v in moved)
+        )
+        assert sorted(moved_sol.dual) == sorted(sol.dual)
+        assert moved_sol != sol
 
     def test_tampered_dual_rejected(self):
         g = complete_graph(5)
         m = build_incidence(g, enumerate_k_cycles(g, 3))
         sol = solve_covering_lp(m, g)
-        tampered = list(sol.dual)
-        i = next(i for i, y in enumerate(tampered) if y)
-        tampered[i] *= 2
+        tampered = (2 * sol.dual_nums[0],) + sol.dual_nums[1:]
         with pytest.raises(CertificateError):
-            check_certificate(m, g, FractionalSolution(sol.values, sol.objective, tampered))
+            check_lp_certificate(m.row_edge_indices, g, replace(sol, dual_nums=tampered))
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda s: {"dual_rows": s.dual_rows[::-1]}, "ascending"),
+            (lambda s: {"dual_rows": s.dual_rows[:-1] + (s.row_count,)}, "within range"),
+            (lambda s: {"dual_nums": (0,) + s.dual_nums[1:]}, "zero or negative dual"),
+            (lambda s: {"row_count": s.row_count + 1}, "number of dual"),
+            (lambda s: {"dual_nums": tuple(2 * v for v in s.dual_nums)}, "strong duality"),
+        ],
+        ids=["rows out of order", "row out of range", "zero num", "wrong row_count", "doubled nums"],
+    )
+    def test_malformed_stored_dual_rejected(self, tamper, message):
+        g = complete_graph(6)
+        m = build_incidence(g, enumerate_k_cycles(g, 3))
+        sol = solve_covering_lp(m, g)
+        with pytest.raises(CertificateError, match=message):
+            check_lp_certificate(m.row_edge_indices, g, replace(sol, **tamper(sol)))
 
     def test_at_most_one_multiplier_per_edge_stored(self):
         g = complete_graph(7)
         m = build_incidence(g, enumerate_k_cycles(g, 5))
         sol = solve_covering_lp(m, g)
         assert m.row_count == 252 > g.edge_count == 21
-        assert 0 < len(sol.scaled_dual[1]) <= g.edge_count
+        assert 0 < len(sol.dual_rows) <= g.edge_count
         assert len(sol.dual) == m.row_count
 
 

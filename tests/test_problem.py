@@ -1,11 +1,15 @@
+import ast
 import gc
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kcover
 import kcover.lp
 import kcover.structures
 from kcover.certificates import CertificateError, check_lp_certificate
@@ -106,7 +110,7 @@ class TestCertificates:
             "from kcover import cover_k_cycles_basic\n"
             "g = complete_graph(4)\n"
             "zero = {e: Fraction(0) for e in g.edges}\n"
-            "bogus = FractionalSolution(zero, Fraction(0), (Fraction(0),) * 4)\n"
+            "bogus = FractionalSolution(zero, Fraction(0), 4, 1, (), ())\n"
             "try:\n"
             "    cover_k_cycles_basic(g, 3, solution=bogus)\n"
             "except CertificateError as exc:\n"
@@ -120,24 +124,22 @@ class TestCertificates:
 
     def certificate(self, g, k=3):
         m = build_incidence(g, enumerate_k_cycles(g, k))
-        sol = solve_covering_lp(m, g)
-        x = [sol.values[e] for e in g.edges]
-        return m.row_edge_indices, g.weights, x, sol.objective, list(sol.dual)
+        return m.row_edge_indices, g, solve_covering_lp(m, g)
 
     def test_solver_output_passes(self):
-        rows, weights, x, objective, y = self.certificate(wheel(8))
-        assert check_lp_certificate(rows, weights, x, objective, y) is None
+        rows, g, sol = self.certificate(wheel(8))
+        assert check_lp_certificate(rows, g, sol) is None
 
     def test_stored_dual_gives_the_integer_slack(self):
         # The oracle's dual bound: sum(z*) d = sum(y d) - objective d, an
         # int, equal to the tightest upper-bound multipliers max(0, A'y - w).
         problem = CoveringProblem(wheel(8), 3, "cycle")
         sol = problem.solve()
-        d, support, scaled = sol.scaled_dual
-        slack = sum(scaled) - sol.objective * d
+        d = sol.dual_den
+        slack = sum(sol.dual_nums) - sol.objective * d
         assert slack.denominator == 1
         load = [0] * problem.g.edge_count
-        for r, v in zip(support, scaled):
+        for r, v in zip(sol.dual_rows, sol.dual_nums):
             for e in problem.incidence.row_edge_indices[r]:
                 load[e] += v
         assert slack == sum(max(0, l - w * d) for l, w in zip(load, problem.g.weights))
@@ -145,20 +147,47 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda c: c[2].__setitem__(0, Fraction(3, 2)), "box"),
-            (lambda c: c.__setitem__(3, c[3] + Fraction(1, 7)), "objective"),
-            (lambda c: c[4].__setitem__(0, Fraction(-1, 3)), "negative dual"),
-            (lambda c: c.__setitem__(4, c[4][:-1]), "number of dual"),
-            (lambda c: c.__setitem__(4, [v * 3 for v in c[4]]), "strong duality"),
+            (lambda g, s: {"values": {**s.values, g.edges[0]: Fraction(3, 2)}}, "box"),
+            (lambda g, s: {"objective": s.objective + Fraction(1, 7)}, "objective"),
+            (lambda g, s: {"dual_nums": (-1,) + s.dual_nums[1:]}, "negative dual"),
+            (lambda g, s: {"row_count": s.row_count - 1}, "number of dual"),
+            (lambda g, s: {"dual_nums": tuple(3 * v for v in s.dual_nums)}, "strong duality"),
         ],
     )
     def test_tampering_rejected(self, tamper, message):
-        cert = list(self.certificate(complete_graph(5)))
-        tamper(cert)
+        rows, g, sol = self.certificate(complete_graph(5))
         with pytest.raises(CertificateError, match=message):
-            check_lp_certificate(*cert)
+            check_lp_certificate(rows, g, replace(sol, **tamper(g, sol)))
 
     def test_weak_dual_fails_strong_duality(self):
-        rows, weights, x, objective, y = self.certificate(complete_graph(5))
+        rows, g, sol = self.certificate(complete_graph(5))
         with pytest.raises(CertificateError, match="strong duality"):
-            check_lp_certificate(rows, weights, x, objective, [v / 2 for v in y])
+            check_lp_certificate(rows, g, replace(sol, dual_den=2 * sol.dual_den))
+
+    def test_package_has_no_assert_statements(self):
+        # Every check is program logic, so none of them vanishes under python -O.
+        sources = sorted(Path(kcover.__file__).parent.glob("*.py"))
+        asserts = [
+            f"{path.name}:{node.lineno}"
+            for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert len(sources) >= 8
+        assert asserts == []
+
+    def test_no_path_reads_the_dense_dual(self, monkeypatch):
+        g = wheel(8)
+        sol = solve_covering_lp(build_incidence(g, enumerate_k_cycles(g, 3)), g)
+
+        def dense(self):
+            raise AssertionError("the dense dual was read")
+
+        monkeypatch.setattr(kcover.lp.FractionalSolution, "dual", property(dense))
+        problem = CoveringProblem(g, 3, "cycle")
+        assert problem.solve() == sol
+        basic = round_basic(problem)
+        improved = round_improved(problem)
+        oracle = min_cover(problem)
+        assert oracle.solved and sol.objective <= oracle.weight <= improved.cover_weight
+        assert cover_k_cycles_basic(g, 3, solution=sol) == basic

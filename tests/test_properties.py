@@ -7,11 +7,12 @@ four rounding algorithms' LP sandwich are checked on the same graphs.
 The examples are derandomized, so every run checks the same graphs.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import brute_cliques, brute_cycles
 from kcover.cover import (
     cover_k_cliques_basic,
     cover_k_cliques_improved,
@@ -46,29 +47,6 @@ def graphs(draw):
     weights = draw(st.lists(st.integers(1, 10), min_size=len(pairs), max_size=len(pairs)))
     edges = [(u, v, w) for (u, v), kept, w in zip(pairs, keep, weights) if kept]
     return WeightedGraph.build(range(n), edges)
-
-
-def adjacent(g, u, v):
-    return (min(u, v), max(u, v)) in set(g.edges)
-
-
-def brute_cycles(g, k):
-    """Each k-cycle once: its smallest vertex first, second vertex below the last."""
-    found = []
-    for subset in combinations(g.vertices, k):
-        for rest in permutations(subset[1:]):
-            seq = subset[:1] + rest
-            if rest[0] < rest[-1] and all(adjacent(g, seq[i - 1], seq[i]) for i in range(k)):
-                found.append(seq)
-    return sorted(found)
-
-
-def brute_cliques(g, k):
-    return [
-        subset
-        for subset in combinations(g.vertices, k)
-        if all(adjacent(g, u, v) for u, v in combinations(subset, 2))
-    ]
 
 
 def without(g, removed):

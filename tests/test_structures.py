@@ -1,11 +1,11 @@
 import gc
 import random
 import weakref
-from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
+from brute_force import brute_cliques, brute_cycles
 from kcover.graph import EdgeSet, WeightedGraph, complete_graph, remove_edges
 from kcover.structures import (
     MAX_K,
@@ -27,31 +27,6 @@ def random_graph(rng, n, p):
         if rng.random() < p
     ]
     return WeightedGraph.build(range(n), edges)
-
-
-# Independent oracles: enumerate by brute force over vertex subsets, with no
-# shared code with the DFS enumerators under test.
-
-
-def naive_k_cycles(g, k):
-    found = set()
-    for subset in combinations(g.vertices, k):
-        root = subset[0]
-        for perm in permutations(subset[1:]):
-            if perm[0] > perm[-1]:
-                continue  # one orientation per cyclic order
-            seq = (root,) + perm
-            if all(g.has_edge(seq[i], seq[(i + 1) % k]) for i in range(k)):
-                found.add(seq)
-    return sorted(found)
-
-
-def naive_k_cliques(g, k):
-    return sorted(
-        subset
-        for subset in combinations(g.vertices, k)
-        if all(g.has_edge(u, v) for u, v in combinations(subset, 2))
-    )
 
 
 class TestCycleEnumeration:
@@ -104,7 +79,7 @@ class TestCycleEnumeration:
             g = random_graph(rng, rng.randint(3, 8), rng.choice([0.3, 0.6, 0.9]))
             for k in (3, 4, 5):
                 ours = [c.vertices for c in enumerate_k_cycles(g, k)]
-                assert ours == naive_k_cycles(g, k)
+                assert ours == brute_cycles(g, k)
 
     def test_canonical_keys_unique_and_sorted(self):
         cycles = enumerate_k_cycles(complete_graph(7), 5)
@@ -145,7 +120,7 @@ class TestCliqueEnumeration:
             g = random_graph(rng, rng.randint(3, 9), rng.choice([0.4, 0.7, 0.95]))
             for k in (3, 4):
                 ours = [c.vertices for c in enumerate_k_cliques(g, k)]
-                assert ours == naive_k_cliques(g, k)
+                assert ours == brute_cliques(g, k)
 
     def test_clique_edge_count(self):
         for c in enumerate_k_cliques(complete_graph(6), 4):
@@ -175,7 +150,7 @@ class TestIncidence:
             assert len(idx) == 3
             for e in idx:
                 column_sums[e] += 1
-        naive = [sum(1 for t in naive_k_cycles(g, 3) if set(edge) <= set(t)) for edge in g.edges]
+        naive = [sum(1 for t in brute_cycles(g, 3) if set(edge) <= set(t)) for edge in g.edges]
         assert column_sums == naive == [2] * 6
 
     def test_foreign_structure_rejected(self):
@@ -204,7 +179,7 @@ class TestVerifyCover:
         matching = EdgeSet([(0, 1), (2, 3)])
         assert all(
             any(e in matching for e in EdgeStructure("cycle", t).edges)
-            for t in naive_k_cycles(g, 3)
+            for t in brute_cycles(g, 3)
         )
         assert verify_cover(g, 3, "cycle", matching)
 
@@ -213,7 +188,7 @@ class TestVerifyCover:
         pair = EdgeSet([(0, 1), (0, 2)])
         survivors = [
             t
-            for t in naive_k_cycles(g, 3)
+            for t in brute_cycles(g, 3)
             if not any(e in pair for e in EdgeStructure("cycle", t).edges)
         ]
         assert survivors == [(1, 2, 3)]
@@ -227,7 +202,7 @@ class TestVerifyCover:
             for k, kind in ((3, "cycle"), (4, "cycle"), (3, "clique")):
                 h = remove_edges(g, s)
                 oracle_empty = (
-                    not naive_k_cycles(h, k) if kind == "cycle" else not naive_k_cliques(h, k)
+                    not brute_cycles(h, k) if kind == "cycle" else not brute_cliques(h, k)
                 )
                 assert verify_cover(g, k, kind, s) == oracle_empty
 
