@@ -9,7 +9,8 @@ vertices).  This package provides:
   ratios k - 1/2 (odd k) and (k^2 - k - 1)/2;
 * an exact rational simplex solver for the covering LP;
 * exact branch-and-bound oracles for minimum covers and maximum
-  edge-disjoint clique packings, plus closed-form Turan reference values.
+  edge-disjoint packings of the problem's own k-cycles or k-cliques, plus
+  closed-form Turan reference values.
 """
 
 from .graph import (

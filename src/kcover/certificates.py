@@ -9,9 +9,6 @@ re-enumerate, so they never trust stored incidence rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from .graph import EdgeSet, WeightedGraph, remove_edges, total_weight, two_coloring
 
 
@@ -24,28 +21,23 @@ def require(ok: bool, message: str) -> None:
         raise CertificateError(message)
 
 
-def _scaled(values) -> tuple[int, list[int]]:
-    """(d, [v * d]) for the least common multiple d of the values' denominators."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
 def check_lp_certificate(rows, g: WeightedGraph, sol) -> None:
     """Prove the FractionalSolution `sol` optimal for min{w.x : Ax >= 1, 0 <= x <= 1}.
 
-    `rows` lists each row's column indices in g's edge order.  x is scaled to
-    ints by the LCM of its denominators and the dual is read as stored (y *
-    dual_den on dual_rows), so every condition is checked in int arithmetic:
+    `rows` lists each row's column indices in g's edge order.  x and the dual
+    are read as stored (x * value_den per edge, y * dual_den on dual_rows),
+    so every condition is checked in int arithmetic:
     box, rows, the pigeonhole bound max_e x_e >= 1/|row|, the objective, the
     stored dual's shape and signs, and strong duality.  The upper-bound
     multipliers are the tightest ones, z* = max(0, A'y - w) per column, so
     (y, z*) is dual feasible by construction.  Passing proves sum(y) -
     sum(z*) = objective, so sum(z*) * dual_den is an int (see exact.py).
     """
-    require(set(sol.values) == set(g.edges), "solution is keyed by a different edge set")
+    require(sol.edges == g.edges and len(sol.value_nums) == g.edge_count,
+            "solution is keyed by a different edge set")
     weights, objective = g.weights, sol.objective
-    dx, xs = _scaled([sol.values[e] for e in g.edges])
-    require(all(0 <= v <= dx for v in xs), "LP certificate: box bounds violated")
+    dx, xs = sol.value_den, sol.value_nums
+    require(dx > 0 and all(0 <= v <= dx for v in xs), "LP certificate: box bounds violated")
     for idx in rows:
         require(sum(xs[e] for e in idx) >= dx, "LP certificate: cover constraint violated")
         require(max(xs[e] for e in idx) * len(idx) >= dx, "LP certificate: pigeonhole bound violated")
@@ -75,7 +67,7 @@ def check_cover(problem, result) -> None:
             "ratio certificate violated")
 
 
-def check_improved_parts(solution, t: int, picked, removed, residual, span) -> None:
+def check_improved_parts(g, solution, t: int, picked, removed, residual, span) -> None:
     """The invariants of threshold rounding + bipartization.
 
     Each residual edge escaped the rounding (value < 2/(2t-1)) yet sits in a
@@ -83,8 +75,8 @@ def check_improved_parts(solution, t: int, picked, removed, residual, span) -> N
     least 1/(2t-1).  The removed edges come from the residual only, miss the
     picked ones, and leave the survivors' span two-colorable.
     """
-    lo, hi = Fraction(1, 2 * t - 1), Fraction(2, 2 * t - 1)
-    require(all(lo <= solution.values[e] < hi for e in residual),
+    d, xs, index = solution.value_den, solution.value_nums, g.edge_index
+    require(all(d <= xs[index[e]] * (2 * t - 1) < 2 * d for e in residual),
             "residual edge value outside [1/(2t-1), 2/(2t-1))")
     require(not (picked & removed), "bipartization removed a picked edge")
     require(removed.issubset(residual), "bipartization removed a non-residual edge")

@@ -83,10 +83,11 @@ class CoverResult:
 
 
 def round_threshold(x: FractionalSolution, theta: Fraction) -> EdgeSet:
-    """Edges whose fractional value is at least theta (ties included)."""
+    """Edges whose fractional value is at least theta (ties included), compared in ints."""
     if theta <= 0:
         raise ValueError(f"threshold must be positive, got {theta}")
-    return EdgeSet(e for e, v in x.values.items() if v >= theta)
+    p, q, d = theta.numerator, theta.denominator, x.value_den
+    return EdgeSet(e for e, v in zip(x.edges, x.value_nums) if v * q >= p * d)
 
 
 def bipartize_half_weight(sub: WeightedGraph) -> Bipartition:
@@ -187,7 +188,7 @@ def round_improved(
     span = edge_induced_subgraph(g, residual)
     bipartition = bipartize_half_weight(span)
     removed = bipartition.inner_edges
-    check_improved_parts(sol, t, picked, removed, residual, span)
+    check_improved_parts(g, sol, t, picked, removed, residual, span)
 
     cover = picked | removed
     result = CoverResult(

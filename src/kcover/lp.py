@@ -5,9 +5,9 @@ algorithms are never subject to floating-point ties.  Inside the solver
 every number is a Python int: the basis inverse and its right-hand side
 are integers over one common denominator (fraction-free, or
 integer-preserving, pivoting; Edmonds 1967, Bareiss 1968), and the simplex
-multipliers are integers over their least common denominator.  Rationals
-are formed only for the primal answer; the dual stays in ints (see
-FractionalSolution).
+multipliers are integers over their least common denominator.  The answer
+keeps both x and the dual in ints (see FractionalSolution); only the
+objective is a rational.
 
 The system has one row per k-structure and one column per edge; dense
 instances can carry thousands of rows but only |E| columns.  The solver
@@ -51,21 +51,28 @@ class SimplexIterationError(RuntimeError):
 class FractionalSolution:
     """Exact optimal solution of the covering LP with its dual certificate.
 
-    `values` maps every edge to a rational in [0, 1].  Of the `row_count`
-    dual multipliers y, one per incidence row, only the nonzero ones are
-    stored, as ints over their least common denominator `dual_den`:
-    `dual_rows` lists their rows ascending and `dual_nums` holds each
-    y * dual_den > 0.  This is the one form of the dual: the simplex writes
-    it, certificates.check_lp_certificate checks it and the exact oracle
-    reads it.  `dual` rebuilds the dense tuple on each read.
+    x is stored as ints over their least common denominator `value_den`:
+    `value_nums` holds x_e * value_den for each edge of `edges` (the graph's
+    own tuple).  Of the `row_count` dual multipliers y, one per incidence
+    row, only the nonzero ones are stored, over their least common
+    denominator `dual_den`: `dual_rows` lists their rows ascending and
+    `dual_nums` holds each y * dual_den > 0.  The simplex writes these forms,
+    certificates.check_lp_certificate checks them and the rounding and the
+    exact oracle read them.  `values` and `dual` are rational read-backs.
     """
 
-    values: dict[Edge, Fraction]
+    edges: tuple[Edge, ...]
+    value_den: int
+    value_nums: tuple[int, ...]
     objective: Fraction
     row_count: int
     dual_den: int
     dual_rows: tuple[int, ...]
     dual_nums: tuple[int, ...]
+
+    @property
+    def values(self) -> dict[Edge, Fraction]:
+        return {e: Fraction(v, self.value_den) for e, v in zip(self.edges, self.value_nums)}
 
     @property
     def dual(self) -> tuple[Fraction, ...]:
@@ -256,14 +263,13 @@ class _DualSimplex:
 
     def solution(self, edges: tuple[Edge, ...]) -> FractionalSolution:
         """x = pi / pi_den, the basic y values as the dual, and the objective sum(y) - sum(z)."""
-        m, n, den = self.m, self.n, self.pi_den
-        shared = {p: Fraction(p, den) for p in set(self.pi)}  # one Fraction per value
-        values = {e: shared[p] for e, p in zip(edges, self.pi)}
+        m, n = self.m, self.n
         total = sum(v if b < m else -v for b, v in zip(self.basis, self.rhs) if b < m + n)
         # The nonzero y are rhs / det; det // common is their least common denominator.
         dual = sorted((b, v) for b, v in zip(self.basis, self.rhs) if b < m and v)
         common = gcd(self.det, *(v for _, v in dual))
-        return FractionalSolution(values, Fraction(total, self.det), m, self.det // common,
+        return FractionalSolution(edges, self.pi_den, tuple(self.pi), Fraction(total, self.det),
+                                  m, self.det // common,
                                   tuple(b for b, _ in dual), tuple(v // common for _, v in dual))
 
 
@@ -282,7 +288,7 @@ def solve_covering_lp(
     if pivot_limit is None:
         pivot_limit = 10_000 + 20 * (m.row_count + m.column_count)
     if m.row_count == 0:
-        return FractionalSolution({e: _ZERO for e in g.edges}, _ZERO, 0, 1, (), ())
+        return FractionalSolution(g.edges, 1, (0,) * g.edge_count, _ZERO, 0, 1, (), ())
 
     tableau = _DualSimplex(m.row_edge_indices, g.weights)
     tableau.run(pivot_limit)

@@ -221,8 +221,8 @@ class TestInputValidation:
         from kcover.lp import FractionalSolution
 
         def bogus(m, g, **kwargs):
-            zero = Fraction(0)
-            return FractionalSolution({e: zero for e in g.edges}, zero, m.row_count, 1, (), ())
+            zeros = (0,) * g.edge_count
+            return FractionalSolution(g.edges, 1, zeros, Fraction(0), m.row_count, 1, (), ())
 
         monkeypatch.setattr(kcover.lp, "solve_covering_lp", bogus)
         code = main(["cover", k4_file, "--k", "3", "--kind", "cycle"])

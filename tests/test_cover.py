@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -39,7 +40,10 @@ def random_graph(rng, n, p):
 def fake_solution(values):
     """A solution with the given values and no rows, for the rounding helpers alone."""
     fractions = {e: Fraction(v) for e, v in values.items()}
-    return FractionalSolution(fractions, sum(fractions.values(), Fraction(0)), 0, 1, (), ())
+    den = lcm(*(x.denominator for x in fractions.values()))
+    nums = tuple(int(x * den) for x in fractions.values())
+    objective = sum(fractions.values(), Fraction(0))
+    return FractionalSolution(tuple(fractions), den, nums, objective, 0, 1, (), ())
 
 
 class TestRoundThreshold:
@@ -291,6 +295,6 @@ class TestPrecomputedSolution:
 
     def test_bogus_injected_solution_rejected(self):
         g = complete_graph(4)
-        bogus = FractionalSolution({e: Fraction(1) for e in g.edges}, Fraction(6), 4, 1, (), ())
+        bogus = FractionalSolution(g.edges, 1, (1,) * g.edge_count, Fraction(6), 4, 1, (), ())
         with pytest.raises(ValueError):
             cover_k_cycles_basic(g, 3, solution=bogus)

@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -137,6 +137,12 @@ class TestRandomInstances:
             # solve_covering_lp asserts feasibility, duality, and pigeonhole
             # internally; re-check the solution from the outside too.
             check_lp_certificate(m.row_edge_indices, g, sol)
+            # x is stored canonically, as ints over their least common denominator.
+            assert sol.edges is g.edges and gcd(sol.value_den, *sol.value_nums) == 1
+            assert all(type(v) is int for v in (sol.value_den, *sol.value_nums))
+            assert sol.values == {
+                e: Fraction(v, sol.value_den) for e, v in zip(g.edges, sol.value_nums)
+            }
             for idx in m.row_edge_indices:
                 row = [sol.values[g.edges[e]] for e in idx]
                 assert sum(row) >= 1
@@ -274,10 +280,10 @@ class TestValidation:
         g = complete_graph(4)
         m = build_incidence(g, enumerate_k_cycles(g, 3))
         sol = solve_covering_lp(m, g)
-        bad_values = dict(sol.values)
-        top = max(bad_values, key=lambda e: (bad_values[e], e))
-        bad_values[top] = Fraction(0)
-        tampered = replace(sol, values=bad_values)
+        bad_nums = list(sol.value_nums)
+        top = max(range(g.edge_count), key=lambda i: (bad_nums[i], g.edges[i]))
+        bad_nums[top] = 0
+        tampered = replace(sol, value_nums=tuple(bad_nums))
         with pytest.raises(ValueError):
             check_lp_certificate(m.row_edge_indices, g, tampered)
 
@@ -308,13 +314,14 @@ class TestStoredDual:
         assert d == lcm(*(y.denominator for y in nonzero.values()))
         empty = solve_covering_lp(build_incidence(g, []), g)
         assert (empty.row_count, empty.dual_den, empty.dual_rows, empty.dual_nums) == (0, 1, (), ())
+        assert (empty.edges, empty.value_den, empty.value_nums) == (g.edges, 1, (0,) * 15)
 
     def test_equal_solutions_compare_equal(self):
         g = complete_graph(6)  # 20 triangles, 15 edges: some multipliers are zero
         m = build_incidence(g, enumerate_k_cycles(g, 3))
         sol = solve_covering_lp(m, g)
-        rebuilt = replace(sol, values=dict(sol.values))
-        assert rebuilt == sol
+        rebuilt = replace(sol, edges=tuple(list(sol.edges)), value_nums=tuple(list(sol.value_nums)))
+        assert rebuilt == sol and hash(rebuilt) == hash(sol)
         assert pickle.loads(pickle.dumps(sol)) == sol
         i = sol.dual_rows[0]
         j = next(j for j in range(sol.row_count) if j not in sol.dual_rows)

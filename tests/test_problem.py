@@ -13,7 +13,7 @@ import kcover
 import kcover.lp
 import kcover.structures
 from kcover.certificates import CertificateError, check_lp_certificate
-from kcover.cover import cover_k_cycles_basic, round_basic, round_improved
+from kcover.cover import cover_k_cycles_basic, cover_k_cycles_odd, round_basic, round_improved
 from kcover.exact import exact_min_cover, max_packing, min_cover
 from kcover.graph import WeightedGraph, complete_graph
 from kcover.lp import solve_covering_lp
@@ -109,8 +109,8 @@ class TestCertificates:
             "from kcover import CertificateError, FractionalSolution, complete_graph\n"
             "from kcover import cover_k_cycles_basic\n"
             "g = complete_graph(4)\n"
-            "zero = {e: Fraction(0) for e in g.edges}\n"
-            "bogus = FractionalSolution(zero, Fraction(0), 4, 1, (), ())\n"
+            "zero = (0,) * g.edge_count\n"
+            "bogus = FractionalSolution(g.edges, 1, zero, Fraction(0), 4, 1, (), ())\n"
             "try:\n"
             "    cover_k_cycles_basic(g, 3, solution=bogus)\n"
             "except CertificateError as exc:\n"
@@ -147,11 +147,23 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda g, s: {"values": {**s.values, g.edges[0]: Fraction(3, 2)}}, "box"),
+            (lambda g, s: {"value_den": 2 * s.value_den, "value_nums": (
+                3 * s.value_den, *(2 * v for v in s.value_nums[1:]))}, "box"),
             (lambda g, s: {"objective": s.objective + Fraction(1, 7)}, "objective"),
             (lambda g, s: {"dual_nums": (-1,) + s.dual_nums[1:]}, "negative dual"),
             (lambda g, s: {"row_count": s.row_count - 1}, "number of dual"),
             (lambda g, s: {"dual_nums": tuple(3 * v for v in s.dual_nums)}, "strong duality"),
+            pytest.param(lambda g, s: {"value_den": 0}, "box", id="zero value_den"),
+            pytest.param(lambda g, s: {"value_den": -s.value_den, "value_nums": tuple(
+                -v for v in s.value_nums)}, "box", id="negative value_den"),
+            pytest.param(lambda g, s: {"value_nums": (s.value_den + 1, *s.value_nums[1:])},
+                         "box", id="num above value_den"),
+            pytest.param(lambda g, s: {"value_nums": (-1, *s.value_nums[1:])},
+                         "box", id="negative num"),
+            pytest.param(lambda g, s: {"value_nums": s.value_nums[:-1]},
+                         "different edge set", id="num missing"),
+            pytest.param(lambda g, s: {"edges": s.edges[::-1]},
+                         "different edge set", id="edges reversed"),
         ],
     )
     def test_tampering_rejected(self, tamper, message):
@@ -177,17 +189,28 @@ class TestCertificates:
         assert asserts == []
 
     def test_no_path_reads_the_dense_dual(self, monkeypatch):
-        g = wheel(8)
-        sol = solve_covering_lp(build_incidence(g, enumerate_k_cycles(g, 3)), g)
+        self.every_path_without(monkeypatch, "dual")
 
-        def dense(self):
-            raise AssertionError("the dense dual was read")
+    def test_no_path_reads_the_rational_values(self, monkeypatch):
+        self.every_path_without(monkeypatch, "values")
 
-        monkeypatch.setattr(kcover.lp.FractionalSolution, "dual", property(dense))
-        problem = CoveringProblem(g, 3, "cycle")
-        assert problem.solve() == sol
-        basic = round_basic(problem)
-        improved = round_improved(problem)
-        oracle = min_cover(problem)
-        assert oracle.solved and sol.objective <= oracle.weight <= improved.cover_weight
-        assert cover_k_cycles_basic(g, 3, solution=sol) == basic
+    def every_path_without(self, monkeypatch, read_back):
+        """Solve, certify, round and run the oracle while `read_back` raises."""
+
+        def forbidden(self):
+            raise AssertionError(f"{read_back} was read")
+
+        monkeypatch.setattr(kcover.lp.FractionalSolution, read_back, property(forbidden))
+        # The K5 optimum is 1/3 on every edge, so the improved rounding leaves
+        # residual edges whose values the bipartization check reads.
+        for g in (wheel(8), complete_graph(5)):
+            sol = solve_covering_lp(build_incidence(g, enumerate_k_cycles(g, 3)), g)
+            problem = CoveringProblem(g, 3, "cycle")
+            assert problem.solve() == sol
+            basic = round_basic(problem)
+            improved = round_improved(problem)
+            oracle = min_cover(problem)
+            assert oracle.solved and sol.objective <= oracle.weight <= improved.cover_weight
+            assert cover_k_cycles_basic(g, 3, solution=sol) == basic
+            assert cover_k_cycles_odd(g, 3, solution=sol) == improved
+        assert improved.parts.residual_edges
