@@ -3,9 +3,10 @@
 Reports are line-oriented key=value text (or JSON with --format structured)
 with rationals rendered exactly, e.g. lp_objective=9/2.  Exit codes:
 0 certified/feasible, 1 infeasible/uncertified (including a failed
-certificate check), 2 usage error, 3 resource cap (enumeration cap or node
-budget).  Stdout is byte-identical across repeated runs on the same
-input; wall time goes to stderr.
+certificate check or a simplex that stops short of an optimum), 2 usage
+error, 3 resource cap (enumeration cap or node budget).  Stdout is
+byte-identical across repeated runs on the same input; wall time goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .cover import (
 from .exact import DEFAULT_NODE_BUDGET, exact_max_packing, exact_min_cover, max_packing, min_cover
 from .graph import EdgeSet, GraphFormatError, complete_graph, parse_edge_set, parse_graph
 from .graph import _foreign_edges
+from .lp import SimplexIterationError
 from .structures import (
     DEFAULT_MAX_STRUCTURES,
+    KINDS,
     CoveringProblem,
     EnumerationCapError,
     complete_graph_structure_count,
@@ -239,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover = sub.add_parser("cover", parents=[common], help="approximate cover")
     p_cover.add_argument("file", help="edge-list graph file")
     p_cover.add_argument("--k", type=int, required=True)
-    p_cover.add_argument("--kind", choices=("cycle", "clique"), required=True)
+    p_cover.add_argument("--kind", choices=KINDS, required=True)
     p_cover.add_argument("--algorithm", choices=("basic", "improved"), default="basic")
     p_cover.set_defaults(func=cmd_cover)
 
     p_exact = sub.add_parser("exact", parents=[common], help="exact minimum cover")
     p_exact.add_argument("file")
     p_exact.add_argument("--k", type=int, required=True)
-    p_exact.add_argument("--kind", choices=("cycle", "clique"), required=True)
+    p_exact.add_argument("--kind", choices=KINDS, required=True)
     p_exact.set_defaults(func=cmd_exact)
 
     p_pack = sub.add_parser("pack", parents=[common], help="exact maximum clique packing")
@@ -260,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact covering/packing ratio table on complete graphs",
     )
     p_ratio.add_argument("--k", type=int, required=True)
-    p_ratio.add_argument("--kind", choices=("cycle", "clique"), required=True)
+    p_ratio.add_argument("--kind", choices=KINDS, required=True)
     p_ratio.add_argument("--n-range", required=True, help="inclusive MIN:MAX")
     p_ratio.set_defaults(func=cmd_ratio_study)
 
     p_verify = sub.add_parser("verify", parents=[common], help="check a cover file")
     p_verify.add_argument("file")
     p_verify.add_argument("--k", type=int, required=True)
-    p_verify.add_argument("--kind", choices=("cycle", "clique"), required=True)
+    p_verify.add_argument("--kind", choices=KINDS, required=True)
     p_verify.add_argument("--cover-file", required=True)
     p_verify.set_defaults(func=cmd_verify)
     return parser
@@ -283,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except CertificateError as exc:
         sys.stderr.write(f"error: certificate check failed: {exc}\n")
+        return EXIT_UNCERTIFIED
+    except SimplexIterationError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNCERTIFIED
     except (GraphFormatError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -140,6 +140,21 @@ def bipartize_half_weight(sub: WeightedGraph) -> Bipartition:
     )
 
 
+def _certified(
+    problem: CoveringProblem,
+    sol: FractionalSolution,
+    cover: EdgeSet,
+    ratio_bound: Fraction,
+    algorithm: str,
+    parts: CoverParts | None = None,
+) -> CoverResult:
+    """The result for `cover`, returned only once its feasibility and ratio certificate hold."""
+    result = CoverResult(cover, total_weight(problem.g, cover), sol.objective,
+                         ratio_bound, algorithm, sol, parts)
+    check_cover(problem, result)
+    return result
+
+
 def round_basic(
     problem: CoveringProblem, solution: FractionalSolution | None = None
 ) -> CoverResult:
@@ -147,16 +162,7 @@ def round_basic(
     sol = problem.solve(solution)
     t = problem.edges_per_structure
     cover = round_threshold(sol, Fraction(1, t))
-    result = CoverResult(
-        cover=cover,
-        cover_weight=total_weight(problem.g, cover),
-        lp_objective=sol.objective,
-        ratio_bound=_basic_ratio(t),
-        algorithm=_BASIC_NAMES[problem.kind],
-        solution=sol,
-    )
-    check_cover(problem, result)
-    return result
+    return _certified(problem, sol, cover, _basic_ratio(t), _BASIC_NAMES[problem.kind])
 
 
 def round_improved(
@@ -190,23 +196,14 @@ def round_improved(
     removed = bipartition.inner_edges
     check_improved_parts(g, sol, t, picked, removed, residual, span)
 
-    cover = picked | removed
-    result = CoverResult(
-        cover=cover,
-        cover_weight=total_weight(g, cover),
-        lp_objective=sol.objective,
-        ratio_bound=_improved_ratio(t),
-        algorithm=_IMPROVED_NAMES[problem.kind],
-        solution=sol,
-        parts=CoverParts(
-            threshold_edges=picked,
-            bipartization_edges=removed,
-            residual_edges=residual,
-            bipartition=bipartition,
-        ),
+    parts = CoverParts(
+        threshold_edges=picked,
+        bipartization_edges=removed,
+        residual_edges=residual,
+        bipartition=bipartition,
     )
-    check_cover(problem, result)
-    return result
+    return _certified(problem, sol, picked | removed, _improved_ratio(t),
+                      _IMPROVED_NAMES[problem.kind], parts)
 
 
 def cover_k_cycles_basic(

@@ -108,15 +108,15 @@ class _DualSimplex:
     pi_den * piv and divides out the gcd.  Every denominator is positive, so
     every comparison, and so every pivot, is the one exact rationals give.
 
-    Entering rule: Dantzig (most negative reduced cost).  Ties go to the
-    least structure column y_s, and a z or t column displaces it only when
-    strictly better.  The z and t columns are scanned edge by edge (an edge
-    is eligible through at most one of them), so among them ties go to the
-    least edge whichever kind it is: t_e beats an equal z_e' when e < e'.
-    This is not the global order y, z, t.  After a run of degenerate pivots
-    the rule switches to Bland's least-index rule (in that global order)
-    until the objective moves again, which preserves the termination
-    guarantee while avoiding Bland's slow typical-case behaviour.
+    Entering rule: one list of eligible columns, each a tuple
+    (rc, group, index, id): y_s is (rc, 0, s, s), z_e is (rc, 1, e, m + e)
+    and t_e is (rc, 1, e, m + n + e); an edge is eligible through at most
+    one of z_e and t_e.  Dantzig takes the least tuple: the most negative
+    reduced cost, ties to y before z and t, then to the least s or edge.
+    After DEGENERATE_SWITCH degenerate pivots in a row, Bland's rule takes
+    the least id (the global order y, z, t) until the objective moves
+    again, which preserves the termination guarantee while avoiding
+    Bland's slow typical-case behaviour.
 
     Structure columns are activated lazily: whenever the active set prices
     out optimal, all inactive columns are priced and the most violated
@@ -153,27 +153,17 @@ class _DualSimplex:
     def _choose_entering(self) -> tuple[int, int] | None:
         """The entering column and its reduced cost * pi_den, or None at optimality."""
         m, n, den = self.m, self.n, self.pi_den
-        violated = self._violated(self.active)
-        if self.degenerate_run >= self.DEGENERATE_SWITCH:  # Bland
-            if violated:
-                rc, s = min(violated, key=itemgetter(1))
-                return s, rc  # y ids precede every z and t id
-            t_first: int | None = None
-            for e, pi in enumerate(self.pi):
-                if pi > den:
-                    return m + e, den - pi  # first eligible z; z ids precede all t ids
-                if pi < 0 and t_first is None:
-                    t_first = e
-            return None if t_first is None else (m + n + t_first, self.pi[t_first])
-        best_rc, best_id = min(violated) if violated else (None, None)
+        candidates = [(rc, 0, s, s) for rc, s in self._violated(self.active)]
         for e, pi in enumerate(self.pi):
             if pi > den:
-                rc = den - pi
-                if best_rc is None or rc < best_rc:
-                    best_id, best_rc = m + e, rc
-            elif pi < 0 and (best_rc is None or pi < best_rc):
-                best_id, best_rc = m + n + e, pi
-        return None if best_id is None else (best_id, best_rc)
+                candidates.append((den - pi, 1, e, m + e))
+            elif pi < 0:
+                candidates.append((pi, 1, e, m + n + e))
+        if not candidates:
+            return None
+        bland = self.degenerate_run >= self.DEGENERATE_SWITCH
+        rc, _, _, ent = min(candidates, key=itemgetter(3)) if bland else min(candidates)
+        return ent, rc
 
     def _column(self, ent: int) -> list[int]:
         """The entering column in the current basis, as ints over det."""

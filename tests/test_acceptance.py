@@ -7,6 +7,7 @@ the instance is small enough to finish inside a fixed node budget; the
 criteria then read from those shared records.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -53,6 +54,7 @@ CLIQUE_KS = (3, 4)
 ORACLE_ROW_CAP = 400
 ORACLE_NODE_BUDGET = 30_000
 SWEEP_TIME_LIMIT_SECONDS = 300.0
+SWEEP_ANSWERS_SHA256 = "085d9abc0f578ce100fbad521eb1ee72d6c9d4abf9502d2aafb25abc939c95e8"
 
 
 @dataclass
@@ -107,6 +109,37 @@ def sweep(corpus):
             instances.append(Instance(graph_id, g, kind, k, row_count, runs, oracle))
     elapsed = time.perf_counter() - started
     return instances, elapsed
+
+
+def test_sweep_answers_pinned(sweep):
+    """Every answer of the sweep hashes to SWEEP_ANSWERS_SHA256.
+
+    In sweep order it hashes each instance's LP answer (objective, x and the
+    stored dual), both rounding covers with their weights, and the oracle's
+    status, weight, node count and cover.  To accept an intended change, run
+    `PYTHONPATH=src python -m pytest tests/test_acceptance.py -k pinned`,
+    copy the new digest from the failure message into SWEEP_ANSWERS_SHA256
+    and say why in the change description.
+    """
+    instances, _ = sweep
+    digest = hashlib.sha256()
+    for inst in instances:
+        sol = inst.runs[0].solution
+        oracle = inst.oracle
+        answer = (
+            inst.graph_id, inst.kind, inst.k,
+            sol.objective, sol.value_den, sol.value_nums,
+            sol.dual_den, sol.dual_rows, sol.dual_nums,
+            [(tuple(run.cover), run.cover_weight) for run in inst.runs],
+            None if oracle is None else (
+                oracle.status, oracle.weight, oracle.node_count,
+                None if oracle.cover is None else tuple(oracle.cover),
+            ),
+        )
+        digest.update(repr(answer).encode())
+    assert digest.hexdigest() == SWEEP_ANSWERS_SHA256, (
+        f"sweep answers changed: digest {digest.hexdigest()}"
+    )
 
 
 def test_criterion_01_feasibility_sweep(sweep, corpus):

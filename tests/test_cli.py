@@ -231,6 +231,20 @@ class TestInputValidation:
         assert captured.out == ""
         assert captured.err.startswith("error: certificate check failed:")
 
+    @pytest.mark.parametrize("command", ["cover", "exact"])
+    def test_simplex_failure_exits_1(self, capsys, k4_file, monkeypatch, command):
+        import kcover.lp
+
+        def stalled(self, pivot_limit):
+            raise kcover.lp.SimplexIterationError("pivot cap 7 exceeded")
+
+        monkeypatch.setattr(kcover.lp._DualSimplex, "run", stalled)
+        code = main([command, k4_file, "--k", "3", "--kind", "cycle"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: pivot cap 7 exceeded\n"
+
 
 class TestPack:
     def test_k7_perfect_packing(self, capsys, tmp_path):

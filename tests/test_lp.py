@@ -262,6 +262,80 @@ class TestPivotPath:
         assert bland.objective == default.objective == 5
 
 
+def least_entering(tableau, bland):
+    """The entering column and reduced cost * pi_den that the stated rule picks.
+
+    Recomputed from pi, pi_den, the rows and the active set: Dantzig takes
+    the most negative reduced cost, ties to the least y_s, else to the least
+    edge among z and t; Bland takes the least id in the order y, z, t.
+    """
+    m, n, pi, den = tableau.m, tableau.n, tableau.pi, tableau.pi_den
+    eligible = {}  # column id -> reduced cost * pi_den
+    for s in tableau.active:
+        rc = sum(pi[e] for e in tableau.rows[s]) - den
+        if rc < 0:
+            eligible[s] = rc
+    for e in range(n):
+        if den - pi[e] < 0:
+            eligible[m + e] = den - pi[e]
+        if pi[e] < 0:
+            eligible[m + n + e] = pi[e]
+    if not eligible:
+        return None
+    if bland:
+        ent = min(eligible)
+    else:
+        best = min(eligible.values())
+        tied = [c for c, rc in eligible.items() if rc == best]
+        ys = [c for c in tied if c < m]
+        ent = min(ys) if ys else min(tied, key=lambda c: (c - m) % n)
+    return ent, eligible[ent]
+
+
+@pytest.fixture(scope="module")
+def small_lps():
+    """About 40 small LPs: corpus draws with n <= 8, and K_5..K_7, for cycles and cliques."""
+    graphs = [random_graph(random.Random((20240801, n, p, 0).__repr__()), n, p)
+              for n in range(5, 9) for p in (0.3, 0.5, 0.8)]
+    graphs += [complete_graph(n) for n in range(5, 8)]
+    cells = ((enumerate_k_cycles, 3), (enumerate_k_cycles, 5), (enumerate_k_cliques, 3),
+             (enumerate_k_cliques, 4))
+    lps = [(build_incidence(g, enum(g, k)), g) for g in graphs for enum, k in cells]
+    return [(m, g) for m, g in lps if m.row_count]
+
+
+class TestEnteringRule:
+    """Every entering choice is the least eligible column under the stated order."""
+
+    def checked_solves(self, monkeypatch, lps, switch):
+        monkeypatch.setattr(lp._DualSimplex, "DEGENERATE_SWITCH", switch)
+        choose = lp._DualSimplex._choose_entering
+        rules = []
+
+        def checked(tableau):
+            bland = tableau.degenerate_run >= switch
+            choice = choose(tableau)
+            assert choice == least_entering(tableau, bland)
+            rules.append(bland)
+            return choice
+
+        monkeypatch.setattr(lp._DualSimplex, "_choose_entering", checked)
+        return [solve_covering_lp(m, g) for m, g in lps], rules
+
+    def test_dantzig_choice_is_least(self, monkeypatch, small_lps):
+        assert len(small_lps) >= 40
+        _, rules = self.checked_solves(monkeypatch, small_lps, lp._DualSimplex.DEGENERATE_SWITCH)
+        assert len(rules) > len(small_lps) and not all(rules)
+
+    def test_bland_choice_is_least_id(self, monkeypatch, small_lps):
+        default = [solve_covering_lp(m, g) for m, g in small_lps]
+        bland, rules = self.checked_solves(monkeypatch, small_lps, 0)
+        assert all(rules)
+        for (m, g), a, b in zip(small_lps, default, bland):
+            check_lp_certificate(m.row_edge_indices, g, b)
+            assert b.objective == a.objective
+
+
 class TestValidation:
     def test_pivot_cap_is_internal_error(self):
         g = complete_graph(4)
