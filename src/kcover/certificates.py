@@ -22,16 +22,15 @@ def require(ok: bool, message: str) -> None:
 
 
 def check_lp_certificate(rows, g: WeightedGraph, sol) -> None:
-    """Prove the FractionalSolution `sol` optimal for min{w.x : Ax >= 1, 0 <= x <= 1}.
+    """Prove the FractionalSolution `sol` optimal for min{w.x : Ax >= 1, x >= 0}.
 
     `rows` lists each row's column indices in g's edge order.  x and the dual
     are read as stored (x * value_den per edge, y * dual_den on dual_rows),
     so every condition is checked in int arithmetic:
     box, rows, the pigeonhole bound max_e x_e >= 1/|row|, the objective, the
-    stored dual's shape and signs, and strong duality.  The upper-bound
-    multipliers are the tightest ones, z* = max(0, A'y - w) per column, so
-    (y, z*) is dual feasible by construction.  Passing proves sum(y) -
-    sum(z*) = objective, so sum(z*) * dual_den is an int (see exact.py).
+    stored dual's shape and signs, strong duality sum(y) = objective and
+    dual feasibility A'y <= w.  Since x also passes the box check 0 <= x <= 1,
+    the same x and y prove it optimal for the boxed LP too.
     """
     require(sol.edges == g.edges and len(sol.value_nums) == g.edge_count,
             "solution is keyed by a different edge set")
@@ -55,9 +54,9 @@ def check_lp_certificate(rows, g: WeightedGraph, sol) -> None:
     for r, v in zip(support, ys):
         for e in rows[r]:
             load[e] += v
-    offset = sum(l - w * dy for l, w in zip(load, weights) if l > w * dy)
-    require((sum(ys) - offset) * objective.denominator == objective.numerator * dy,
+    require(sum(ys) * objective.denominator == objective.numerator * dy,
             "LP certificate: strong duality violated")
+    require(all(l <= w * dy for l, w in zip(load, weights)), "LP certificate: dual infeasible")
 
 
 def check_cover(problem, result) -> None:

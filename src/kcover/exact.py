@@ -62,14 +62,12 @@ class _CoverSearch:
     are handled for free); its candidate edges are tried in descending
     weight.  Branch i commits edge i and forbids edges 0..i-1, so subtrees
     are disjoint.  Lower bound: max of a greedy edge-disjoint-row bound and
-    a bound inherited from the root LP dual (y*, z*), scaled by d to
-    integers: restricting y* to the still-uncovered rows stays dual-feasible
-    for the residual system once the constant upper-bound slack sum(z*) is
-    paid, so ceil((sum(y*d over uncovered) - sum(z*d)) / d) lower-bounds any
-    completion.  d, the rows with y* > 0 and their y*d are the certified
-    solution's stored dual_den, dual_rows and dual_nums, and sum(z*d) =
-    sum(y*d) - objective*d is an int, since the certificate proved
-    sum(y*) - sum(z*) = objective.  No node does rational arithmetic.
+    a bound inherited from the root LP dual y*, scaled by d to integers:
+    the certificate proved A'y* <= w, so y* restricted to the still-uncovered
+    rows is dual feasible for the residual system, and
+    ceil(sum(y*d over uncovered) / d) lower-bounds any completion.  d, the
+    rows with y* > 0 and their y*d are the certified solution's stored
+    dual_den, dual_rows and dual_nums.  No node does rational arithmetic.
     """
 
     def __init__(self, row_masks, row_edges, weights, solution, budget):
@@ -78,7 +76,6 @@ class _CoverSearch:
         self.weights = weights
         self.dual_scale = solution.dual_den
         self.nonzero_duals = list(zip(solution.dual_rows, solution.dual_nums))
-        self.dual_offset = int(sum(solution.dual_nums) - solution.objective * solution.dual_den)
         self.budget = budget
         self.nodes = 0
         self.best_weight: int | None = None
@@ -125,10 +122,7 @@ class _CoverSearch:
         bound = greedy_bound
         if self.nonzero_duals:
             d = self.dual_scale
-            dual_sum = (
-                sum(y for r, y in self.nonzero_duals if not self.row_masks[r] & chosen)
-                - self.dual_offset
-            )
+            dual_sum = sum(y for r, y in self.nonzero_duals if not self.row_masks[r] & chosen)
             if dual_sum > bound * d:
                 bound = -(-dual_sum // d)
         if self.best_weight is not None and cost + bound >= self.best_weight:

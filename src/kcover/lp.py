@@ -1,4 +1,8 @@
-"""Exact rational solver for the covering relaxation min{w.x : Ax >= 1, 0 <= x <= 1}.
+"""Exact rational solver for the covering relaxation min{w.x : Ax >= 1, x >= 0}.
+
+Every weight is at least 1, so no optimum has an x_e above 1 (lowering it
+to 1 keeps every row covered and costs less): the bound x <= 1 is implied,
+the solver does not carry it, and the certificate still checks it.
 
 All arithmetic is exact, so threshold comparisons made by the rounding
 algorithms are never subject to floating-point ties.  Inside the solver
@@ -13,7 +17,7 @@ The system has one row per k-structure and one column per edge; dense
 instances can carry thousands of rows but only |E| columns.  The solver
 therefore runs revised primal simplex on the standard-form dual
 
-    max  sum(y) - sum(z)   s.t.   A'y - z + t = w,   y, z, t >= 0,
+    max  sum(y)   s.t.   A'y + t = w,   y, t >= 0,
 
 whose basis has only |E| rows, using the Dantzig rule with deterministic
 tie-breaks and an automatic switch to Bland's anti-cycling rule under
@@ -88,8 +92,8 @@ class _DualSimplex:
     Only the basis inverse is maintained (as the slack block), so a pivot
     costs O(|E|^2) regardless of how many structure columns exist.  Reduced
     costs come from the multipliers pi: a structure column prices to
-    sum(pi over its edges) - 1, an upper-bound column to 1 - pi_e, a slack
-    to pi_e; at optimality pi is exactly the primal solution x*.
+    sum(pi over its edges) - 1 and a slack t_e to pi_e; at optimality pi is
+    exactly the primal solution x*.
 
     The basis inverse is `binv / det` and the basic values `rhs / det`, with
     `binv` and `rhs` Python ints and `det` > 0 the last pivot element (1 at
@@ -102,21 +106,19 @@ class _DualSimplex:
 
     pi is kept as Python ints `pi` over their least common denominator
     `pi_den`, and every reduced cost is handled multiplied by pi_den: a
-    structure column is sum(pi[e] for e in row) - pi_den, a z column
-    pi_den - pi[e] (eligible when pi[e] > pi_den), a t column pi[e]
-    (eligible when pi[e] < 0).  A pivot maps pi to pi * piv - rc * b over
-    pi_den * piv and divides out the gcd.  Every denominator is positive, so
-    every comparison, and so every pivot, is the one exact rationals give.
+    structure column is sum(pi[e] for e in row) - pi_den and a t column
+    pi[e] (eligible when pi[e] < 0).  A pivot maps pi to pi * piv - rc * b
+    over pi_den * piv and divides out the gcd.  Every denominator is
+    positive, so every comparison, and so every pivot, is the one exact
+    rationals give.
 
-    Entering rule: one list of eligible columns, each a tuple
-    (rc, group, index, id): y_s is (rc, 0, s, s), z_e is (rc, 1, e, m + e)
-    and t_e is (rc, 1, e, m + n + e); an edge is eligible through at most
-    one of z_e and t_e.  Dantzig takes the least tuple: the most negative
-    reduced cost, ties to y before z and t, then to the least s or edge.
-    After DEGENERATE_SWITCH degenerate pivots in a row, Bland's rule takes
-    the least id (the global order y, z, t) until the objective moves
-    again, which preserves the termination guarantee while avoiding
-    Bland's slow typical-case behaviour.
+    Entering rule: one list of eligible columns, each a pair (rc, id), where
+    y_s has id s and t_e has id m + e.  Dantzig takes the least pair: the
+    most negative reduced cost, ties to the least id, so y before t.  After
+    DEGENERATE_SWITCH degenerate pivots in a row, Bland's rule takes the
+    least id until the objective moves again, which preserves the
+    termination guarantee while avoiding Bland's slow typical-case
+    behaviour.
 
     Structure columns are activated lazily: whenever the active set prices
     out optimal, all inactive columns are priced and the most violated
@@ -139,7 +141,7 @@ class _DualSimplex:
         self.pi_den = 1
         self.active: list[int] = []
         self.inactive = list(range(self.m))
-        self.basis = [self.m + self.n + e for e in range(self.n)]
+        self.basis = [self.m + e for e in range(self.n)]
         self.pivots = 0
         self.degenerate_run = 0
 
@@ -152,29 +154,21 @@ class _DualSimplex:
 
     def _choose_entering(self) -> tuple[int, int] | None:
         """The entering column and its reduced cost * pi_den, or None at optimality."""
-        m, n, den = self.m, self.n, self.pi_den
-        candidates = [(rc, 0, s, s) for rc, s in self._violated(self.active)]
-        for e, pi in enumerate(self.pi):
-            if pi > den:
-                candidates.append((den - pi, 1, e, m + e))
-            elif pi < 0:
-                candidates.append((pi, 1, e, m + n + e))
+        m = self.m
+        candidates = self._violated(self.active)
+        candidates += [(pi, m + e) for e, pi in enumerate(self.pi) if pi < 0]
         if not candidates:
             return None
         bland = self.degenerate_run >= self.DEGENERATE_SWITCH
-        rc, _, _, ent = min(candidates, key=itemgetter(3)) if bland else min(candidates)
+        rc, ent = min(candidates, key=itemgetter(1)) if bland else min(candidates)
         return ent, rc
 
     def _column(self, ent: int) -> list[int]:
         """The entering column in the current basis, as ints over det."""
-        m, n = self.m, self.n
-        if ent < m:
+        if ent < self.m:
             idx = self.rows[ent]
             return [sum(row[e] for e in idx) for row in self.binv]
-        if ent < m + n:
-            e = ent - m
-            return [-row[e] for row in self.binv]
-        e = ent - m - n
+        e = ent - self.m
         return [row[e] for row in self.binv]
 
     # -- pivoting ------------------------------------------------------------
@@ -252,13 +246,13 @@ class _DualSimplex:
             self._pivot(r, ent, rc, col)
 
     def solution(self, edges: tuple[Edge, ...]) -> FractionalSolution:
-        """x = pi / pi_den, the basic y values as the dual, and the objective sum(y) - sum(z)."""
-        m, n = self.m, self.n
-        total = sum(v if b < m else -v for b, v in zip(self.basis, self.rhs) if b < m + n)
+        """x = pi / pi_den, the basic y values as the dual, and the objective sum(y)."""
+        m = self.m
         # The nonzero y are rhs / det; det // common is their least common denominator.
         dual = sorted((b, v) for b, v in zip(self.basis, self.rhs) if b < m and v)
         common = gcd(self.det, *(v for _, v in dual))
-        return FractionalSolution(edges, self.pi_den, tuple(self.pi), Fraction(total, self.det),
+        objective = Fraction(sum(v for _, v in dual), self.det)
+        return FractionalSolution(edges, self.pi_den, tuple(self.pi), objective,
                                   m, self.det // common,
                                   tuple(b for b, _ in dual), tuple(v // common for _, v in dual))
 

@@ -10,10 +10,12 @@ criteria then read from those shared records.
 import hashlib
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +56,7 @@ CLIQUE_KS = (3, 4)
 ORACLE_ROW_CAP = 400
 ORACLE_NODE_BUDGET = 30_000
 SWEEP_TIME_LIMIT_SECONDS = 300.0
-SWEEP_ANSWERS_SHA256 = "085d9abc0f578ce100fbad521eb1ee72d6c9d4abf9502d2aafb25abc939c95e8"
+SWEEP_ANSWERS = Path(__file__).resolve().parent / "golden" / "sweep_answers.txt"
 
 
 @dataclass
@@ -80,8 +82,7 @@ def _random_graph(rng: random.Random, n: int, p: float) -> WeightedGraph:
     return WeightedGraph.build(range(n), edges)
 
 
-@pytest.fixture(scope="module")
-def corpus() -> list[tuple[str, WeightedGraph]]:
+def build_corpus() -> list[tuple[str, WeightedGraph]]:
     graphs = []
     for n in SIZES:
         for p in EDGE_PROBS:
@@ -91,8 +92,7 @@ def corpus() -> list[tuple[str, WeightedGraph]]:
     return graphs
 
 
-@pytest.fixture(scope="module")
-def sweep(corpus):
+def run_sweep(corpus) -> tuple[list[Instance], float]:
     instances: list[Instance] = []
     started = time.perf_counter()
     for graph_id, g in corpus:
@@ -111,18 +111,24 @@ def sweep(corpus):
     return instances, elapsed
 
 
-def test_sweep_answers_pinned(sweep):
-    """Every answer of the sweep hashes to SWEEP_ANSWERS_SHA256.
+@pytest.fixture(scope="module")
+def corpus() -> list[tuple[str, WeightedGraph]]:
+    return build_corpus()
 
-    In sweep order it hashes each instance's LP answer (objective, x and the
-    stored dual), both rounding covers with their weights, and the oracle's
-    status, weight, node count and cover.  To accept an intended change, run
-    `PYTHONPATH=src python -m pytest tests/test_acceptance.py -k pinned`,
-    copy the new digest from the failure message into SWEEP_ANSWERS_SHA256
-    and say why in the change description.
+
+@pytest.fixture(scope="module")
+def sweep(corpus):
+    return run_sweep(corpus)
+
+
+def answer_lines(instances) -> list[str]:
+    """One line per instance: `graph_id kind k sha256` of all its answers.
+
+    The digest covers the LP answer (objective, x and the stored dual), both
+    rounding covers with their weights, and the oracle's status, weight,
+    node count and cover.
     """
-    instances, _ = sweep
-    digest = hashlib.sha256()
+    lines = []
     for inst in instances:
         sol = inst.runs[0].solution
         oracle = inst.oracle
@@ -136,10 +142,24 @@ def test_sweep_answers_pinned(sweep):
                 None if oracle.cover is None else tuple(oracle.cover),
             ),
         )
-        digest.update(repr(answer).encode())
-    assert digest.hexdigest() == SWEEP_ANSWERS_SHA256, (
-        f"sweep answers changed: digest {digest.hexdigest()}"
-    )
+        digest = hashlib.sha256(repr(answer).encode()).hexdigest()
+        lines.append(f"{inst.graph_id} {inst.kind} {inst.k} {digest}")
+    return lines
+
+
+def test_sweep_answers_pinned(sweep):
+    """Every instance's answers match its line in tests/golden/sweep_answers.txt.
+
+    To accept an intended change, re-record with
+    `PYTHONPATH=src python tests/test_acceptance.py > tests/golden/sweep_answers.txt`
+    and say in the change description which instances changed and why.
+    """
+    instances, _ = sweep
+    expected = SWEEP_ANSWERS.read_text().splitlines()
+    actual = answer_lines(instances)
+    changed = [a.rsplit(" ", 1)[0] for a, b in zip(actual, expected) if a != b]
+    assert not changed, f"sweep answers changed on {len(changed)} instances: {changed}"
+    assert len(actual) == len(expected), f"{len(actual)} instances, {len(expected)} pinned"
 
 
 def test_criterion_01_feasibility_sweep(sweep, corpus):
@@ -345,3 +365,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
         f"\nACCEPTANCE 10 PASS - {len(commands)} CLI invocations byte-identical "
         f"across repeated runs"
     )
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(line + "\n" for line in answer_lines(run_sweep(build_corpus())[0])))

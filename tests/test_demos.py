@@ -19,8 +19,10 @@ GOLDEN = ROOT / "tests" / "golden"
 
 
 def test_every_demo_has_a_golden_file():
-    # cli_reports.txt belongs to test_cli_golden.py, not to a demo.
-    demo_files = sorted(p.stem for p in GOLDEN.glob("*.txt") if p.stem != "cli_reports")
+    # cli_reports.txt and sweep_answers.txt belong to test_cli_golden.py and
+    # test_acceptance.py, not to a demo.
+    demo_files = sorted(p.stem for p in GOLDEN.glob("*.txt")
+                        if p.stem not in ("cli_reports", "sweep_answers"))
     assert [d.stem for d in DEMOS] == demo_files
     assert len(DEMOS) == 4
 

@@ -128,9 +128,10 @@ class TestExactMinCover:
             cases += 1
 
     def test_shared_cheap_edge_with_tight_upper_bound(self):
-        # Two triangles sharing one cheap edge: the LP puts that edge at its
-        # upper bound 1, so the covering dual needs a positive upper-bound
-        # multiplier; the search bound must account for it.
+        # Two triangles sharing one cheap edge: the LP puts that edge at 1,
+        # the bound that x <= 1 would impose, and its dual is y = 1 on one
+        # triangle, so A'y meets w on the shared edge; the search bound
+        # must still reach the weight-1 cover.
         g = WeightedGraph.build(
             range(4),
             [(0, 1, 1), (0, 2, 10), (1, 2, 10), (0, 3, 10), (1, 3, 10)],

@@ -213,13 +213,16 @@ class TestPivotPath:
 
     Each instance solves in exactly `pivots` pivots (so pivot_limit=pivots
     succeeds and one less raises); the objective, values and dual are pinned
-    through their digest.
+    through their digest.  A pin changes only with a recorded reason,
+    written next to it.
     """
 
     @pytest.mark.parametrize(
         "seed,n,p,kind,k,pivots,objective,digest",
         [
-            (2, 9, 0.8, "clique", 3, 46, Fraction(175, 3),
+            # 46 -> 45 pivots, same answer: the dual dropped its x <= 1
+            # columns, which entered once on this path.
+            (2, 9, 0.8, "clique", 3, 45, Fraction(175, 3),
              "1c96985cd75bffec32b005421474c7d68b3e8ea1a516a4854dd1529c46b83604"),
             (1, 8, 0.8, "cycle", 5, 50, Fraction(59, 3),
              "bc347021239de32db2886fa88325f07697fde8dc609559a6b6c2c56b14d43ede"),
@@ -237,16 +240,19 @@ class TestPivotPath:
 
     def test_worst_acceptance_cell_pinned(self):
         # The acceptance corpus's largest LP: n=12, p=0.8, draw 7, 5-cycles.
+        # 497 -> 528 pivots when the dual dropped its x <= 1 columns, one of
+        # which entered on the old path: x is unchanged, and the final dual
+        # is another optimum.
         g = random_graph(random.Random((20240801, 12, 0.8, 7).__repr__()), 12, 0.8)
         m = build_incidence(g, enumerate_k_cycles(g, 5))
         assert (m.row_count, m.column_count) == (3726, 55)
-        sol = solve_covering_lp(m, g, pivot_limit=497)
+        sol = solve_covering_lp(m, g, pivot_limit=528)
         assert sol.objective == 58
         assert answer_digest(sol) == (
-            "613bdde4bf34f0e2b96aef716e364f6401833120828dc86fee4de85fb6ea8dfd"
+            "c5cfeaf885a3c64f83957dc03e7cd526fccf4b6928a45fed2494fa4b4b3aeb1a"
         )
         with pytest.raises(SimplexIterationError):
-            solve_covering_lp(m, g, pivot_limit=496)
+            solve_covering_lp(m, g, pivot_limit=527)
 
     def test_bland_rule_from_the_first_pivot(self, monkeypatch):
         # Unit-weight K6 with triangles is degenerate; switching to Bland's
@@ -266,8 +272,8 @@ def least_entering(tableau, bland):
     """The entering column and reduced cost * pi_den that the stated rule picks.
 
     Recomputed from pi, pi_den, the rows and the active set: Dantzig takes
-    the most negative reduced cost, ties to the least y_s, else to the least
-    edge among z and t; Bland takes the least id in the order y, z, t.
+    the least (reduced cost, id) pair, Bland the least id, in the order
+    y_s = s, then t_e = m + e.
     """
     m, n, pi, den = tableau.m, tableau.n, tableau.pi, tableau.pi_den
     eligible = {}  # column id -> reduced cost * pi_den
@@ -276,19 +282,14 @@ def least_entering(tableau, bland):
         if rc < 0:
             eligible[s] = rc
     for e in range(n):
-        if den - pi[e] < 0:
-            eligible[m + e] = den - pi[e]
         if pi[e] < 0:
-            eligible[m + n + e] = pi[e]
+            eligible[m + e] = pi[e]
     if not eligible:
         return None
     if bland:
         ent = min(eligible)
     else:
-        best = min(eligible.values())
-        tied = [c for c, rc in eligible.items() if rc == best]
-        ys = [c for c in tied if c < m]
-        ent = min(ys) if ys else min(tied, key=lambda c: (c - m) % n)
+        ent = min(eligible, key=lambda c: (eligible[c], c))
     return ent, eligible[ent]
 
 

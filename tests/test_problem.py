@@ -1,5 +1,6 @@
 import ast
 import gc
+import random
 import subprocess
 import sys
 import weakref
@@ -30,6 +31,14 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def corpus_graph(n, p, i):
+    """Draw i of the acceptance corpus's (n, p) cell, as tests/test_acceptance.py builds it."""
+    rng = random.Random((20240801, n, p, i).__repr__())
+    edges = [(u, v, rng.randint(1, 10)) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p]
+    return WeightedGraph.build(range(n), edges)
 
 
 def wheel(n):
@@ -130,19 +139,22 @@ class TestCertificates:
         rows, g, sol = self.certificate(wheel(8))
         assert check_lp_certificate(rows, g, sol) is None
 
-    def test_stored_dual_gives_the_integer_slack(self):
-        # The oracle's dual bound: sum(z*) d = sum(y d) - objective d, an
-        # int, equal to the tightest upper-bound multipliers max(0, A'y - w).
-        problem = CoveringProblem(wheel(8), 3, "cycle")
+    @pytest.mark.parametrize(
+        "g, k", [(wheel(8), 3), (corpus_graph(10, 0.3, 6), 5)], ids=["wheel8", "n10-p0.3-6"]
+    )
+    def test_stored_dual_is_feasible_and_sums_to_the_objective(self, g, k):
+        # The oracle's dual bound reads the stored y as is, so A'y <= w must
+        # hold.  n10-p0.3-6 with 5-cycles is the smallest corpus LP whose
+        # dual, when the solver still carried x <= 1, had A'y > w.
+        problem = CoveringProblem(g, k, "cycle")
         sol = problem.solve()
         d = sol.dual_den
-        slack = sum(sol.dual_nums) - sol.objective * d
-        assert slack.denominator == 1
-        load = [0] * problem.g.edge_count
+        assert Fraction(sum(sol.dual_nums), d) == sol.objective
+        load = [0] * g.edge_count
         for r, v in zip(sol.dual_rows, sol.dual_nums):
             for e in problem.incidence.row_edge_indices[r]:
                 load[e] += v
-        assert slack == sum(max(0, l - w * d) for l, w in zip(load, problem.g.weights))
+        assert all(l <= w * d for l, w in zip(load, g.weights))
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -164,6 +176,9 @@ class TestCertificates:
                          "different edge set", id="num missing"),
             pytest.param(lambda g, s: {"edges": s.edges[::-1]},
                          "different edge set", id="edges reversed"),
+            pytest.param(lambda g, s: {"dual_rows": s.dual_rows[:1],
+                                       "dual_nums": (sum(s.dual_nums),)},
+                         "dual infeasible", id="sum moved to one row"),
         ],
     )
     def test_tampering_rejected(self, tamper, message):
