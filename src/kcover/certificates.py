@@ -9,7 +9,20 @@ re-enumerate, so they never trust stored incidence rows.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .graph import EdgeSet, WeightedGraph, remove_edges, total_weight, two_coloring
+
+
+def row_getter(idx: tuple[int, ...]):
+    """A getter of one row's entries: row_getter(idx)(seq) == tuple(seq[e] for e in idx).
+
+    operator.itemgetter reads them in one C call, but it returns a bare item
+    for one index and takes no zero, so shorter rows read in Python.
+    """
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple(seq[e] for e in idx)
 
 
 class CertificateError(ValueError):
@@ -38,8 +51,9 @@ def check_lp_certificate(rows, g: WeightedGraph, sol) -> None:
     dx, xs = sol.value_den, sol.value_nums
     require(dx > 0 and all(0 <= v <= dx for v in xs), "LP certificate: box bounds violated")
     for idx in rows:
-        require(sum(xs[e] for e in idx) >= dx, "LP certificate: cover constraint violated")
-        require(max(xs[e] for e in idx) * len(idx) >= dx, "LP certificate: pigeonhole bound violated")
+        row = row_getter(idx)(xs)
+        require(sum(row) >= dx, "LP certificate: cover constraint violated")
+        require(max(row) * len(row) >= dx, "LP certificate: pigeonhole bound violated")
     primal = sum(w * v for w, v in zip(weights, xs))
     require(primal * objective.denominator == objective.numerator * dx,
             "LP certificate: objective mismatch")

@@ -23,9 +23,11 @@ whose basis has only |E| rows, using the Dantzig rule with deterministic
 tie-breaks and an automatic switch to Bland's anti-cycling rule under
 degenerate stalling.  Structure columns (y) are activated lazily:
 whenever the active columns price out optimal, inactive rows are priced
-and violated ones enter in batches.  The simplex multipliers of the final
-basis are exactly the primal optimum x*, and the basic y values are a dual
-feasible vector certifying optimality; check_lp_certificate verifies both.
+and violated ones enter in batches.  Every row sum reads the row through
+one getter per row (an operator.itemgetter), which changes no int and no
+pivot.  The simplex multipliers of the final basis are exactly the primal
+optimum x*, and the basic y values are a dual feasible vector certifying
+optimality; check_lp_certificate verifies both.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import gcd
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .certificates import check_lp_certificate
+from .certificates import check_lp_certificate, row_getter
 from .graph import Edge, WeightedGraph
 
 if TYPE_CHECKING:
@@ -107,10 +109,12 @@ class _DualSimplex:
     pi is kept as Python ints `pi` over their least common denominator
     `pi_den`, and every reduced cost is handled multiplied by pi_den: a
     structure column is sum(pi[e] for e in row) - pi_den and a t column
-    pi[e] (eligible when pi[e] < 0).  A pivot maps pi to pi * piv - rc * b
-    over pi_den * piv and divides out the gcd.  Every denominator is
-    positive, so every comparison, and so every pivot, is the one exact
-    rationals give.
+    pi[e] (eligible when pi[e] < 0).  Row s is read through `row_get[s]`,
+    one C call for its entries of pi or of a binv row: the same ints as a
+    loop over the row, so the same candidates, order and pivots.  A pivot
+    maps pi to pi * piv - rc * b over pi_den * piv and divides out the gcd.
+    Every denominator is positive, so every comparison, and so every pivot,
+    is the one exact rationals give.
 
     Entering rule: one list of eligible columns, each a pair (rc, id), where
     y_s has id s and t_e has id m + e.  Dantzig takes the least pair: the
@@ -130,6 +134,7 @@ class _DualSimplex:
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], weights: tuple[int, ...]):
         self.rows = rows
+        self.row_get = [row_getter(idx) for idx in rows]
         self.m = len(rows)
         self.n = len(weights)
         # Basis inverse binv / det; starts as the identity on the slack block.
@@ -149,8 +154,8 @@ class _DualSimplex:
 
     def _violated(self, columns: list[int]) -> list[tuple[int, int]]:
         """(reduced cost * pi_den, s) of each structure column s that prices negative."""
-        pi, den, rows = self.pi, self.pi_den, self.rows
-        return [(rc, s) for s in columns if (rc := sum(pi[e] for e in rows[s]) - den) < 0]
+        pi, den, get = self.pi, self.pi_den, self.row_get
+        return [(rc, s) for s in columns if (rc := sum(get[s](pi)) - den) < 0]
 
     def _choose_entering(self) -> tuple[int, int] | None:
         """The entering column and its reduced cost * pi_den, or None at optimality."""
@@ -166,8 +171,8 @@ class _DualSimplex:
     def _column(self, ent: int) -> list[int]:
         """The entering column in the current basis, as ints over det."""
         if ent < self.m:
-            idx = self.rows[ent]
-            return [sum(row[e] for e in idx) for row in self.binv]
+            get = self.row_get[ent]
+            return [sum(get(row)) for row in self.binv]
         e = ent - self.m
         return [row[e] for row in self.binv]
 

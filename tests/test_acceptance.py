@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from kcover import lp
 from kcover.cli import main
 from kcover.cover import CoverResult, round_basic, round_improved
 from kcover.exact import (
@@ -117,8 +118,27 @@ def corpus() -> list[tuple[str, WeightedGraph]]:
 
 
 @pytest.fixture(scope="module")
-def sweep(corpus):
-    return run_sweep(corpus)
+def counted_sweep(corpus):
+    """The sweep, and the pivot count of every simplex run it made."""
+    # The same counter as test_lp.count_pivots, written out: perfbench
+    # loads this file on its own, so it imports no sibling test module.
+    pivots = []
+    run = lp._DualSimplex.run
+
+    def counted(tableau, pivot_limit):
+        run(tableau, pivot_limit)
+        pivots.append(tableau.pivots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp._DualSimplex, "run", counted)
+        instances, elapsed = run_sweep(corpus)
+    return instances, elapsed, pivots
+
+
+@pytest.fixture(scope="module")
+def sweep(counted_sweep):
+    instances, elapsed, _ = counted_sweep
+    return instances, elapsed
 
 
 def answer_lines(instances) -> list[str]:
@@ -160,6 +180,17 @@ def test_sweep_answers_pinned(sweep):
     changed = [a.rsplit(" ", 1)[0] for a, b in zip(actual, expected) if a != b]
     assert not changed, f"sweep answers changed on {len(changed)} instances: {changed}"
     assert len(actual) == len(expected), f"{len(actual)} instances, {len(expected)} pinned"
+
+
+def test_sweep_pivot_total(counted_sweep):
+    """The 864 corpus LPs take 18,412 pivots at the default pivot_limit.
+
+    The 264 cells without structures never start the simplex, so 600 runs
+    make up the total.  Pricing may get faster; the pivots may not change.
+    """
+    instances, _, pivots = counted_sweep
+    assert len(instances) == 864
+    assert (len(pivots), sum(pivots)) == (600, 18_412)
 
 
 def test_criterion_01_feasibility_sweep(sweep, corpus):

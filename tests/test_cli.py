@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,24 @@ class TestInputValidation:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: pivot cap 7 exceeded\n"
+
+    @pytest.mark.parametrize("idx, code", [((), 1), ((0,), 0), ((0, 1), 0)])
+    def test_short_incidence_row_reports(self, capsys, k4_file, monkeypatch, idx, code):
+        # A row of fewer than two edges ends in a report or one error line.
+        build = kcover.structures.build_incidence
+
+        def short_row_zero(g, found):
+            m = build(g, found)
+            return replace(m, row_edge_indices=(idx,) + m.row_edge_indices[1:])
+
+        monkeypatch.setattr(kcover.structures, "build_incidence", short_row_zero)
+        assert main(["cover", k4_file, "--k", "3", "--kind", "cycle"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("error: dual unbounded") and captured.err.count("\n") == 1
+        else:
+            assert parse_kv(captured.out)["lp_objective"] == "2"
 
 
 class TestPack:

@@ -267,6 +267,26 @@ class TestPivotPath:
         check_lp_certificate(m.row_edge_indices, g, bland)
         assert bland.objective == default.objective == 5
 
+    def test_small_lps_pivot_total(self, monkeypatch, small_lps):
+        # At the default pivot_limit, the 42 small LPs take 599 pivots in all.
+        pivots = count_pivots(monkeypatch)
+        for m, g in small_lps:
+            solve_covering_lp(m, g)
+        assert (len(pivots), sum(pivots)) == (42, 599)
+
+
+def count_pivots(monkeypatch):
+    """A list that receives the pivot count of every later simplex run."""
+    pivots = []
+    run = lp._DualSimplex.run
+
+    def counted(tableau, pivot_limit):
+        run(tableau, pivot_limit)
+        pivots.append(tableau.pivots)
+
+    monkeypatch.setattr(lp._DualSimplex, "run", counted)
+    return pivots
+
 
 def least_entering(tableau, bland):
     """The entering column and reduced cost * pi_den that the stated rule picks.
@@ -335,6 +355,68 @@ class TestEnteringRule:
         for (m, g), a, b in zip(small_lps, default, bland):
             check_lp_certificate(m.row_edge_indices, g, b)
             assert b.objective == a.objective
+
+
+class TestPricing:
+    """Every price and entering column equals plain sums over the rows, in order."""
+
+    def test_prices_and_columns_are_row_sums(self, monkeypatch, small_lps):
+        violated, column = lp._DualSimplex._violated, lp._DualSimplex._column
+        calls = {"violated": 0, "column": 0}
+
+        def checked_violated(tableau, columns):
+            got = violated(tableau, columns)
+            pi, den, rows = tableau.pi, tableau.pi_den, tableau.rows
+            sums = [(sum(pi[e] for e in rows[s]) - den, s) for s in columns]
+            assert got == [(rc, s) for rc, s in sums if rc < 0]
+            calls["violated"] += 1
+            return got
+
+        def checked_column(tableau, ent):
+            got = column(tableau, ent)
+            if ent < tableau.m:
+                idx = tableau.rows[ent]
+                assert got == [sum(row[e] for e in idx) for row in tableau.binv]
+                calls["column"] += 1
+            return got
+
+        monkeypatch.setattr(lp._DualSimplex, "_violated", checked_violated)
+        monkeypatch.setattr(lp._DualSimplex, "_column", checked_column)
+        for m, g in small_lps:
+            solve_covering_lp(m, g)
+        assert calls["violated"] > calls["column"] > len(small_lps)
+
+
+def with_row_zero(m, idx):
+    """The incidence m with row 0 replaced by the hand-built column list idx."""
+    return replace(m, row_edge_indices=(idx,) + m.row_edge_indices[1:])
+
+
+class TestShortRows:
+    """Rows of fewer than two edges keep their verdicts (K_4, 3-cycles, row 0 replaced)."""
+
+    @pytest.mark.parametrize("idx", [(), (0,), (0, 1)])
+    def test_certificate_rejects_uncovered_short_row(self, idx):
+        g = complete_graph(4)
+        m = build_incidence(g, enumerate_k_cycles(g, 3))
+        sol = solve_covering_lp(m, g)
+        with pytest.raises(CertificateError, match="^LP certificate: cover constraint violated$"):
+            check_lp_certificate(with_row_zero(m, idx).row_edge_indices, g, sol)
+
+    def test_empty_row_is_dual_unbounded(self):
+        g = complete_graph(4)
+        m = with_row_zero(build_incidence(g, enumerate_k_cycles(g, 3)), ())
+        with pytest.raises(SimplexIterationError, match="dual unbounded"):
+            solve_covering_lp(m, g)
+
+    @pytest.mark.parametrize(
+        "idx, value_nums", [((0,), (1, 0, 0, 0, 0, 1)), ((0, 1), (0, 1, 0, 0, 1, 0))]
+    )
+    def test_short_row_solves(self, idx, value_nums):
+        g = complete_graph(4)
+        m = with_row_zero(build_incidence(g, enumerate_k_cycles(g, 3)), idx)
+        sol = solve_covering_lp(m, g)
+        assert (sol.objective, sol.value_den, sol.value_nums) == (2, 1, value_nums)
 
 
 class TestValidation:
