@@ -1,10 +1,12 @@
 """Exact small-instance oracles: minimum covers, maximum packings, Turan values.
 
-Both solvers are plain depth-first branch and bound over edge bitmasks with
-deterministic branching, so repeated runs return identical optima.  They
-count search nodes against an explicit budget and report "unsolved" when it
-runs out rather than ever returning an unproven answer.  Both take one
-CoveringProblem of either kind and reuse its rows, bitmasks and certified LP.
+Both solvers are depth-first branch and bound over edge bitmasks with
+deterministic branching, so repeated runs return identical optima.  Both run
+on one explicit stack, `_search`, which visits their nodes in preorder with no
+depth limit.  It counts the nodes it visits against an explicit budget, and a
+solver reports "unsolved" when the budget runs out rather than ever returning
+an unproven answer.  Both take one CoveringProblem of either kind and reuse
+its rows, bitmasks and certified LP.
 """
 
 from __future__ import annotations
@@ -51,8 +53,21 @@ class ExactPacking:
         return self.status == "optimal"
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _search(root, expand, budget: int) -> tuple[bool, int]:
+    """Visit the tree below `root` in preorder; return (finished, nodes visited).
+
+    expand(node) prunes or scores the node against the incumbent and returns
+    its children in visiting order.  The search stops at the first node past
+    the budget, so an unfinished search reports budget + 1 nodes.
+    """
+    stack = [root]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            return False, nodes
+        stack.extend(reversed(expand(stack.pop())))
+    return True, nodes
 
 
 class _CoverSearch:
@@ -70,30 +85,20 @@ class _CoverSearch:
     dual_den, dual_rows and dual_nums.  No node does rational arithmetic.
     """
 
-    def __init__(self, row_masks, row_edges, weights, solution, budget):
+    def __init__(self, row_masks, row_edges, weights, solution):
         self.row_masks = row_masks
         self.row_edges = row_edges  # per row: edge ids sorted by (-weight, id)
         self.weights = weights
         self.dual_scale = solution.dual_den
         self.nonzero_duals = list(zip(solution.dual_rows, solution.dual_nums))
-        self.budget = budget
-        self.nodes = 0
         self.best_weight: int | None = None
         self.best_mask = 0
 
-    def run(self):
-        try:
-            self._visit(0, 0, 0)
-        except _BudgetExceeded:
-            return False
-        return True
-
-    def _visit(self, chosen: int, forbidden: int, cost: int) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExceeded
+    def expand(self, node: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+        """Children of node (chosen, forbidden, cost), in visiting order."""
+        chosen, forbidden, cost = node
         if self.best_weight is not None and cost >= self.best_weight:
-            return
+            return []
 
         weights = self.weights
         branch_row = -1
@@ -105,7 +110,7 @@ class _CoverSearch:
                 continue
             rem = mask & ~forbidden
             if rem == 0:
-                return  # row can no longer be covered on this branch
+                return []  # row can no longer be covered on this branch
             count = rem.bit_count()
             if branch_row < 0 or count < branch_count:
                 branch_row, branch_count = r, count
@@ -117,7 +122,7 @@ class _CoverSearch:
             if self.best_weight is None or cost < self.best_weight:
                 self.best_weight = cost
                 self.best_mask = chosen
-            return
+            return []
 
         bound = greedy_bound
         if self.nonzero_duals:
@@ -126,14 +131,16 @@ class _CoverSearch:
             if dual_sum > bound * d:
                 bound = -(-dual_sum // d)
         if self.best_weight is not None and cost + bound >= self.best_weight:
-            return
+            return []
 
         rem = self.row_masks[branch_row] & ~forbidden
         taken = 0
+        children = []
         for e in self.row_edges[branch_row]:
             if rem >> e & 1:
-                self._visit(chosen | (1 << e), forbidden | taken, cost + weights[e])
+                children.append((chosen | (1 << e), forbidden | taken, cost + weights[e]))
                 taken |= 1 << e
+        return children
 
 
 def min_cover(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactCover:
@@ -151,13 +158,14 @@ def min_cover(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) 
     rows = problem.incidence.row_edge_indices
     row_edges = [tuple(sorted(idx, key=lambda e: (-weights[e], e))) for idx in rows]
 
-    search = _CoverSearch(problem.row_masks, row_edges, weights, relaxation, node_budget)
-    if not search.run():
-        return ExactCover("unsolved", None, None, search.nodes)
+    search = _CoverSearch(problem.row_masks, row_edges, weights, relaxation)
+    finished, nodes = _search((0, 0, 0), search.expand, node_budget)
+    if not finished:
+        return ExactCover("unsolved", None, None, nodes)
 
     cover = EdgeSet(e for i, e in enumerate(g.edges) if search.best_mask >> i & 1)
     check_exact_cover(problem, cover, search.best_weight, relaxation.objective)
-    return ExactCover("optimal", cover, search.best_weight, search.nodes)
+    return ExactCover("optimal", cover, search.best_weight, nodes)
 
 
 def exact_min_cover(
@@ -175,42 +183,30 @@ def exact_min_cover(
 class _PackingSearch:
     """Include/exclude the first structure that is edge-disjoint from the chosen ones."""
 
-    def __init__(self, masks, edges_per_structure, budget):
+    def __init__(self, masks, edges_per_structure):
         self.masks = masks
         self.per_structure = edges_per_structure
-        self.budget = budget
-        self.nodes = 0
         self.best_count = -1
         self.best: tuple[int, ...] = ()
 
-    def run(self):
-        try:
-            self._visit(0, 0, ())
-        except _BudgetExceeded:
-            return False
-        return True
-
-    def _visit(self, start: int, used: int, chosen: tuple[int, ...]) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExceeded
-
+    def expand(self, node: tuple[int, int, tuple[int, ...]]) -> list:
+        """Children of node (start, used, chosen): include, then exclude, the first available."""
+        start, used, chosen = node
         available = [i for i in range(start, len(self.masks)) if not self.masks[i] & used]
         if not available:
             if len(chosen) > self.best_count:
                 self.best_count = len(chosen)
                 self.best = chosen
-            return
+            return []
         free = 0
         for i in available:
             free |= self.masks[i]
         bound = len(chosen) + min(len(available), free.bit_count() // self.per_structure)
         if bound <= self.best_count:
-            return
+            return []
 
         first = available[0]
-        self._visit(first + 1, used | self.masks[first], chosen + (first,))
-        self._visit(first + 1, used, chosen)
+        return [(first + 1, used | self.masks[first], chosen + (first,)), (first + 1, used, chosen)]
 
 
 def max_packing(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactPacking:
@@ -219,13 +215,14 @@ def max_packing(problem: CoveringProblem, node_budget: int = DEFAULT_NODE_BUDGET
     if not structures:
         return ExactPacking("optimal", (), 0, 0)
 
-    search = _PackingSearch(problem.row_masks, problem.edges_per_structure, node_budget)
-    if not search.run():
-        return ExactPacking("unsolved", None, None, search.nodes)
+    search = _PackingSearch(problem.row_masks, problem.edges_per_structure)
+    finished, nodes = _search((0, 0, ()), search.expand, node_budget)
+    if not finished:
+        return ExactPacking("unsolved", None, None, nodes)
 
     chosen = tuple(structures[i] for i in search.best)
     check_packing(problem, chosen)
-    return ExactPacking("optimal", chosen, search.best_count, search.nodes)
+    return ExactPacking("optimal", chosen, search.best_count, nodes)
 
 
 def exact_max_packing(

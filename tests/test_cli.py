@@ -280,6 +280,18 @@ class TestPack:
         assert code == 0
         assert parse_kv(out)["count"] == "1"
 
+    def test_deep_search_without_traceback(self, capsys, tmp_path):
+        # 1,100 disjoint triangles: the packing search goes 1,100 levels deep.
+        path = tmp_path / "triangles.txt"
+        triangles = [(i, i + 1, i + 2) for i in range(0, 3300, 3)]
+        lines = [f"{a} {b} 1\n{a} {c} 1\n{b} {c} 1\n" for a, b, c in triangles]
+        path.write_text("3300\n" + "".join(lines))
+        code = main(["pack", str(path), "--k", "3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "count=1100\n" in captured.out
+        assert "Traceback" not in captured.err
+
 
 class TestRatioStudy:
     def test_small_table(self, capsys):

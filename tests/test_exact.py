@@ -1,23 +1,25 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from kcover.certificates import CertificateError, check_packing
+from kcover.certificates import CertificateError, check_exact_cover, check_packing
 from kcover.exact import (
     UnsolvedInstanceError,
     exact_max_packing,
     exact_min_cover,
     max_packing,
+    min_cover,
     sandwich_check,
     turan_graph_edge_count,
     turan_tau_complete,
 )
 from kcover.graph import EdgeSet, WeightedGraph, complete_graph, total_weight
-from kcover.lp import solve_covering_lp
+from kcover.lp import FractionalSolution, solve_covering_lp
 from kcover.structures import (
     CoveringProblem,
     EdgeStructure,
@@ -36,6 +38,14 @@ def random_graph(rng, n, p):
         if rng.random() < p
     ]
     return WeightedGraph.build(range(n), edges)
+
+
+def disjoint_triangles(count):
+    """`count` vertex-disjoint unit triangles: a search one level deeper per triangle."""
+    return WeightedGraph.build(
+        range(3 * count),
+        [(3 * i + a, 3 * i + b, 1) for i in range(count) for a, b in ((0, 1), (0, 2), (1, 2))],
+    )
 
 
 # Brute-force oracles over explicit bitmask subsets; independent of the
@@ -177,7 +187,7 @@ class TestExactMinCover:
         assert not res.solved
         assert res.status == "unsolved"
         assert res.cover is None and res.weight is None
-        assert res.node_count > 3
+        assert res.node_count == 4  # the first node past the budget
 
     # `kcover exact` prints node_count as nodes=; a change to branching or
     # pruning must show up here.
@@ -311,6 +321,27 @@ class TestExactMaxPacking:
     def test_budget_exhaustion(self):
         res = exact_max_packing(complete_graph(7), 3, node_budget=2)
         assert not res.solved
+        assert res.cliques is None and res.count is None
+        assert res.node_count == 3  # the first node past the budget
+
+    # `kcover pack` prints node_count as nodes=, as `kcover exact` does.
+    @pytest.mark.parametrize(
+        "g, k, kind, count, nodes",
+        [
+            (complete_graph(5), 3, "clique", 2, 17),
+            (complete_graph(6), 3, "clique", 4, 29),
+            (complete_graph(7), 3, "clique", 7, 15),
+            (complete_graph(8), 3, "clique", 8, 2233),
+            (complete_graph(9), 3, "clique", 12, 65),
+            (complete_graph(6), 4, "clique", 1, 21),
+            (complete_graph(6), 5, "cycle", 2, 199),
+            (complete_graph(7), 5, "cycle", 3, 7935),
+        ],
+        ids=["K5", "K6", "K7", "K8", "K9", "K6-K4s", "K6-C5s", "K7-C5s"],
+    )
+    def test_node_counts_pinned(self, g, k, kind, count, nodes):
+        res = max_packing(CoveringProblem(g, k, kind))
+        assert (res.status, res.count, res.node_count) == ("optimal", count, nodes)
 
     @pytest.mark.parametrize(
         "structure",
@@ -327,6 +358,52 @@ class TestExactMaxPacking:
         check_packing(problem, (EdgeStructure("clique", (0, 1, 2)),))
         with pytest.raises(CertificateError, match="not in the problem"):
             check_packing(problem, (structure,))
+
+
+class TestPostChecks:
+    """The checks behind both oracles reject each kind of bad answer."""
+
+    def test_check_exact_cover_rejects_bad_answers(self):
+        problem = CoveringProblem(complete_graph(4), 3, "cycle")
+        res = min_cover(problem)
+        cover, weight, lp_objective = res.cover, res.weight, problem.solve().objective
+        check_exact_cover(problem, cover, weight, lp_objective)
+        with pytest.raises(CertificateError, match="exact cover weight mismatch"):
+            check_exact_cover(problem, cover, weight + 1, lp_objective)
+        with pytest.raises(CertificateError, match="LP bound exceeds exact optimum"):
+            check_exact_cover(problem, cover, weight, weight + Fraction(1, 2))
+        short = EdgeSet(cover.edges[1:])
+        with pytest.raises(CertificateError, match="exact cover is infeasible"):
+            check_exact_cover(problem, short, total_weight(problem.g, short), 0)
+
+    def test_check_packing_rejects_shared_edge(self):
+        problem = CoveringProblem(complete_graph(4), 3, "clique")
+        sharing = (EdgeStructure("clique", (0, 1, 2)), EdgeStructure("clique", (0, 1, 3)))
+        with pytest.raises(CertificateError, match="packing shares an edge"):
+            check_packing(problem, sharing)
+
+
+class TestDeepInstances:
+    """1,100 disjoint triangles put the optimum 1,100 levels down, beyond any call stack."""
+
+    COUNT = 1100
+
+    def test_packing(self):
+        res = exact_max_packing(disjoint_triangles(self.COUNT), 3)
+        assert (res.status, res.count) == ("optimal", self.COUNT)
+
+    def test_cover(self):
+        problem = CoveringProblem(disjoint_triangles(self.COUNT), 3, "clique")
+        # The optimal LP answer by hand, so the test skips the LP: x = 1 on
+        # each triangle's first edge and y = 1 on every triangle.
+        xs = [1 if u % 3 == 0 and v == u + 1 else 0 for u, v in problem.g.edges]
+        problem.solve(FractionalSolution(
+            edges=problem.g.edges, value_den=1, value_nums=tuple(xs),
+            objective=Fraction(self.COUNT), row_count=self.COUNT,
+            dual_den=1, dual_rows=tuple(range(self.COUNT)), dual_nums=(1,) * self.COUNT,
+        ))
+        res = min_cover(problem)
+        assert (res.status, res.weight) == ("optimal", self.COUNT)
 
 
 class TestSandwich:
