@@ -384,7 +384,7 @@ class TestPostChecks:
 
 
 class TestDeepInstances:
-    """1,100 disjoint triangles put the optimum 1,100 levels down, beyond any call stack."""
+    """1,100 disjoint triangles put the optimum 1,100 levels down, past Python's 1,000 frames."""
 
     COUNT = 1100
 
