@@ -40,10 +40,12 @@ def check_lp_certificate(rows, g: WeightedGraph, sol) -> None:
     `rows` lists each row's column indices in g's edge order.  x and the dual
     are read as stored (x * value_den per edge, y * dual_den on dual_rows),
     so every condition is checked in int arithmetic:
-    box, rows, the pigeonhole bound max_e x_e >= 1/|row|, the objective, the
-    stored dual's shape and signs, strong duality sum(y) = objective and
-    dual feasibility A'y <= w.  Since x also passes the box check 0 <= x <= 1,
-    the same x and y prove it optimal for the boxed LP too.
+    box, rows, the objective, the stored dual's shape and signs, strong
+    duality sum(y) = objective and dual feasibility A'y <= w.  Since x also
+    passes the box check 0 <= x <= 1, the same x and y prove it optimal for
+    the boxed LP too.  The pigeonhole bound max_e x_e >= 1/|row| needs no
+    check of its own: a row of |row| values summing to at least 1 has one
+    of at least 1/|row|.
     """
     require(sol.edges == g.edges and len(sol.value_nums) == g.edge_count,
             "solution is keyed by a different edge set")
@@ -53,7 +55,6 @@ def check_lp_certificate(rows, g: WeightedGraph, sol) -> None:
     for idx in rows:
         row = row_getter(idx)(xs)
         require(sum(row) >= dx, "LP certificate: cover constraint violated")
-        require(max(row) * len(row) >= dx, "LP certificate: pigeonhole bound violated")
     primal = sum(w * v for w, v in zip(weights, xs))
     require(primal * objective.denominator == objective.numerator * dx,
             "LP certificate: objective mismatch")
@@ -110,7 +111,12 @@ def check_exact_cover(problem, cover: EdgeSet, weight: int, lp_objective) -> Non
 
 
 def check_packing(problem, chosen) -> None:
-    """Each structure is the problem's own and no two share an edge, so at most |E|/t."""
+    """Each structure is the problem's own and no two share an edge.
+
+    That bounds the packing by |E|/t with no check of its own: the k >= 3
+    distinct vertices of each structure give it t distinct edges, all in g,
+    and no edge is in two structures.
+    """
     used: set = set()
     for s in chosen:
         edges = set(s.edges)
@@ -119,5 +125,3 @@ def check_packing(problem, chosen) -> None:
                 f"packing structure {s.vertices} is not in the problem")
         require(not used & edges, "packing shares an edge")
         used |= edges
-    require(len(chosen) <= problem.g.edge_count // problem.edges_per_structure,
-            "packing exceeds |E|/t")

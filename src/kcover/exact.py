@@ -76,9 +76,13 @@ class _CoverSearch:
     Structure = the uncovered row with fewest selectable edges (forced rows
     are handled for free); its candidate edges are tried in descending
     weight.  Branch i commits edge i and forbids edges 0..i-1, so subtrees
-    are disjoint.  Lower bound: max of a greedy edge-disjoint-row bound and
-    a bound inherited from the root LP dual y*, scaled by d to integers:
-    the certificate proved A'y* <= w, so y* restricted to the still-uncovered
+    are disjoint.  Every uncovered row keeps a selectable edge, so no node
+    tests for a row that can no longer be covered: at the root none is
+    forbidden, and below it, if the branch row has j selectable edges, then
+    every uncovered row has at least j and branch i < j forbids only i more.
+    Lower bound: max of a greedy edge-disjoint-row bound and a bound
+    inherited from the root LP dual y*, scaled by d to integers: the
+    certificate proved A'y* <= w, so y* restricted to the still-uncovered
     rows is dual feasible for the residual system, and
     ceil(sum(y*d over uncovered) / d) lower-bounds any completion.  d, the
     rows with y* > 0 and their y*d are the certified solution's stored
@@ -109,8 +113,6 @@ class _CoverSearch:
             if mask & chosen:
                 continue
             rem = mask & ~forbidden
-            if rem == 0:
-                return []  # row can no longer be covered on this branch
             count = rem.bit_count()
             if branch_row < 0 or count < branch_count:
                 branch_row, branch_count = r, count

@@ -6,12 +6,12 @@ the solver does not carry it, and the certificate still checks it.
 
 All arithmetic is exact, so threshold comparisons made by the rounding
 algorithms are never subject to floating-point ties.  Inside the solver
-every number is a Python int: the basis inverse and its right-hand side
-are integers over one common denominator (fraction-free, or
-integer-preserving, pivoting; Edmonds 1967, Bareiss 1968), and the simplex
-multipliers are integers over their least common denominator.  The answer
-keeps both x and the dual in ints (see FractionalSolution); only the
-objective is a rational.
+every number is a Python int: one integer tableau holds the basis inverse,
+its right-hand side and the objective row (the simplex multipliers and
+the objective), all over one common denominator, and every row takes the
+same fraction-free, or integer-preserving, pivot update (Edmonds 1967,
+Bareiss 1968).  The answer keeps both x and the dual in ints (see
+FractionalSolution); only the objective is a rational.
 
 The system has one row per k-structure and one column per edge; dense
 instances can carry thousands of rows but only |E| columns.  The solver
@@ -89,7 +89,7 @@ class FractionalSolution:
 
 
 class _DualSimplex:
-    """Revised primal simplex on the dual; tableau rows indexed by edges.
+    """Revised primal simplex on the dual, as one fraction-free integer tableau.
 
     Only the basis inverse is maintained (as the slack block), so a pivot
     costs O(|E|^2) regardless of how many structure columns exist.  Reduced
@@ -97,24 +97,25 @@ class _DualSimplex:
     sum(pi over its edges) - 1 and a slack t_e to pi_e; at optimality pi is
     exactly the primal solution x*.
 
-    The basis inverse is `binv / det` and the basic values `rhs / det`, with
-    `binv` and `rhs` Python ints and `det` > 0 the last pivot element (1 at
-    the start), so `binv` is the adjugate of the integer basis up to sign.
-    A pivot on row r with element `piv` keeps row r, maps every other row
-    a to (piv * a - f * b) // det, where f is the row's entry in the
-    entering column and b is row r, and sets det = piv; each division is
-    exact.  Entering columns are ints over det too, so the ratio test
-    compares rhs[i] * col[j] with rhs[j] * col[i].
+    `tableau` holds n + 1 rows of Python ints, all over one denominator
+    `det` > 0, the last pivot element (1 at the start).  Row i < n is
+    [row i of the basis inverse | value of basic variable i]; the last row
+    is the objective row [pi | sum(y)], integral over det because it is
+    c_B times the integer adjugate of the basis (up to sign).  A pivot on
+    row r with element `piv` keeps row r, maps every other row a, the
+    objective row included, to (piv * a - f * b) // det, where f is the
+    row's entry in the entering column (the reduced cost * det for the
+    objective row) and b is row r, and sets det = piv; each division is
+    exact (Edmonds 1967, Bareiss 1968).  Entering columns are ints over det
+    too, so the ratio test compares the value entries crosswise.
 
-    pi is kept as Python ints `pi` over their least common denominator
-    `pi_den`, and every reduced cost is handled multiplied by pi_den: a
-    structure column is sum(pi[e] for e in row) - pi_den and a t column
-    pi[e] (eligible when pi[e] < 0).  Row s is read through `row_get[s]`,
-    one C call for its entries of pi or of a binv row: the same ints as a
-    loop over the row, so the same candidates, order and pivots.  A pivot
-    maps pi to pi * piv - rc * b over pi_den * piv and divides out the gcd.
-    Every denominator is positive, so every comparison, and so every pivot,
-    is the one exact rationals give.
+    Every reduced cost is handled multiplied by det: a structure column is
+    sum(pi[e] for e in row) - det and a t column pi[e] (eligible when
+    pi[e] < 0).  Row s is read through `row_get[s]`, one C call for its
+    entries of pi or of a tableau row: the same ints as a loop over the
+    row, so the same candidates, order and pivots.  det is positive and
+    common to every candidate, so every comparison, and so every pivot, is
+    the one exact rationals give.
 
     Entering rule: one list of eligible columns, each a pair (rc, id), where
     y_s has id s and t_e has id m + e.  Dantzig takes the least pair: the
@@ -136,32 +137,29 @@ class _DualSimplex:
         self.rows = rows
         self.row_get = [row_getter(idx) for idx in rows]
         self.m = len(rows)
-        self.n = len(weights)
-        # Basis inverse binv / det; starts as the identity on the slack block.
-        self.binv = [[int(j == i) for j in range(self.n)] for i in range(self.n)]
-        self.rhs = list(weights)
+        self.n = n = len(weights)
+        # [identity | w] on the slack basis, then the objective row [0 | 0], over det = 1.
+        self.tableau = [[int(j == i) for j in range(n)] + [weights[i]] for i in range(n)]
+        self.tableau.append([0] * (n + 1))
         self.det = 1
-        # pi_e = pi[e] / pi_den, Python ints over their least common denominator.
-        self.pi = [0] * self.n
-        self.pi_den = 1
         self.active: list[int] = []
         self.inactive = list(range(self.m))
-        self.basis = [self.m + e for e in range(self.n)]
+        self.basis = [self.m + e for e in range(n)]
         self.pivots = 0
         self.degenerate_run = 0
 
     # -- pricing -------------------------------------------------------------
 
     def _violated(self, columns: list[int]) -> list[tuple[int, int]]:
-        """(reduced cost * pi_den, s) of each structure column s that prices negative."""
-        pi, den, get = self.pi, self.pi_den, self.row_get
-        return [(rc, s) for s in columns if (rc := sum(get[s](pi)) - den) < 0]
+        """(reduced cost * det, s) of each structure column s that prices negative."""
+        pi, det, get = self.tableau[-1], self.det, self.row_get
+        return [(rc, s) for s in columns if (rc := sum(get[s](pi)) - det) < 0]
 
     def _choose_entering(self) -> tuple[int, int] | None:
-        """The entering column and its reduced cost * pi_den, or None at optimality."""
-        m = self.m
+        """The entering column and its reduced cost * det, or None at optimality."""
+        m, pi = self.m, self.tableau[-1]
         candidates = self._violated(self.active)
-        candidates += [(pi, m + e) for e, pi in enumerate(self.pi) if pi < 0]
+        candidates += [(pi[e], m + e) for e in range(self.n) if pi[e] < 0]
         if not candidates:
             return None
         bland = self.degenerate_run >= self.DEGENERATE_SWITCH
@@ -170,24 +168,25 @@ class _DualSimplex:
 
     def _column(self, ent: int) -> list[int]:
         """The entering column in the current basis, as ints over det."""
+        rows = self.tableau[:-1]
         if ent < self.m:
             get = self.row_get[ent]
-            return [sum(get(row)) for row in self.binv]
+            return [sum(get(row)) for row in rows]
         e = ent - self.m
-        return [row[e] for row in self.binv]
+        return [row[e] for row in rows]
 
     # -- pivoting ------------------------------------------------------------
 
     def _choose_leaving(self, col: list[int]) -> int:
-        """Minimum ratio rhs[i] / col[i] over col[i] > 0; ties to the least basic id."""
-        rhs, basis = self.rhs, self.basis
+        """Minimum ratio of value to col[i] over col[i] > 0; ties to the least basic id."""
+        tableau, basis = self.tableau, self.basis
         best_i = -1
         for i, c in enumerate(col):
             if c > 0:
                 if best_i < 0:
                     best_i = i
                     continue
-                here, best = rhs[i] * col[best_i], rhs[best_i] * c
+                here, best = tableau[i][-1] * col[best_i], tableau[best_i][-1] * c
                 if here < best or (here == best and basis[i] < basis[best_i]):
                     best_i = i
         if best_i < 0:
@@ -198,23 +197,16 @@ class _DualSimplex:
         return best_i
 
     def _pivot(self, r: int, ent: int, rc: int, col: list[int]) -> None:
-        piv, det = col[r], self.det
-        binv, rhs = self.binv, self.rhs
-        prow, prow_rhs = binv[r], rhs[r]
-        for i, f in enumerate(col):
+        piv, det, tableau = col[r], self.det, self.tableau
+        prow = tableau[r]
+        # The objective row's entry in the entering column is its reduced cost * det.
+        for i, f in enumerate(col + [rc]):
             if i != r:
-                binv[i] = [(piv * a - f * b) // det for a, b in zip(binv[i], prow)]
-                rhs[i] = (piv * rhs[i] - f * prow_rhs) // det
+                tableau[i] = [(piv * a - f * b) // det for a, b in zip(tableau[i], prow)]
         self.det = piv
-        # pi' = pi / pi_den - (rc / pi_den) * prow / piv, over pi_den * piv.
-        num = [p * piv - rc * b for p, b in zip(self.pi, prow)]
-        den = self.pi_den * piv
-        common = gcd(den, *num)
-        self.pi = [q // common for q in num]
-        self.pi_den = den // common
         self.basis[r] = ent
         self.pivots += 1
-        if prow_rhs == 0:
+        if prow[-1] == 0:
             self.degenerate_run += 1
         else:
             self.degenerate_run = 0
@@ -251,15 +243,17 @@ class _DualSimplex:
             self._pivot(r, ent, rc, col)
 
     def solution(self, edges: tuple[Edge, ...]) -> FractionalSolution:
-        """x = pi / pi_den, the basic y values as the dual, and the objective sum(y)."""
-        m = self.m
-        # The nonzero y are rhs / det; det // common is their least common denominator.
-        dual = sorted((b, v) for b, v in zip(self.basis, self.rhs) if b < m and v)
-        common = gcd(self.det, *(v for _, v in dual))
-        objective = Fraction(sum(v for _, v in dual), self.det)
-        return FractionalSolution(edges, self.pi_den, tuple(self.pi), objective,
-                                  m, self.det // common,
-                                  tuple(b for b, _ in dual), tuple(v // common for _, v in dual))
+        """x = pi / det, the basic y values as the dual, and the objective sum(y) / det."""
+        m, det, n = self.m, self.det, self.n
+        *rows, objective_row = self.tableau
+        pi = objective_row[:n]
+        x_common = gcd(det, *pi)
+        # The nonzero y are values over det; det // y_common is their least common denominator.
+        dual = sorted((b, row[-1]) for b, row in zip(self.basis, rows) if b < m and row[-1])
+        y_common = gcd(det, *(v for _, v in dual))
+        return FractionalSolution(edges, det // x_common, tuple(p // x_common for p in pi),
+                                  Fraction(objective_row[-1], det), m, det // y_common,
+                                  tuple(b for b, _ in dual), tuple(v // y_common for _, v in dual))
 
 
 def solve_covering_lp(
@@ -269,15 +263,14 @@ def solve_covering_lp(
 
     Returns an optimal basic feasible solution together with a dual vector
     whose objective equals the primal objective (strong duality, checked
-    exactly).  Feasibility, the box bounds, and the per-row pigeonhole
-    bound max_e x_e >= 1/|row| are all checked in exact arithmetic.
+    exactly).  Feasibility, the box bounds and dual feasibility are all
+    checked in exact arithmetic by check_lp_certificate.  An LP with no rows
+    takes no pivot: x = 0 and the empty dual.
     """
     if m.columns != g.edges:
         raise ValueError("incidence columns do not match the graph's edge order")
     if pivot_limit is None:
         pivot_limit = 10_000 + 20 * (m.row_count + m.column_count)
-    if m.row_count == 0:
-        return FractionalSolution(g.edges, 1, (0,) * g.edge_count, _ZERO, 0, 1, (), ())
 
     tableau = _DualSimplex(m.row_edge_indices, g.weights)
     tableau.run(pivot_limit)

@@ -185,12 +185,12 @@ def test_sweep_answers_pinned(sweep):
 def test_sweep_pivot_total(counted_sweep):
     """The 864 corpus LPs take 18,412 pivots at the default pivot_limit.
 
-    The 264 cells without structures never start the simplex, so 600 runs
-    make up the total.  Pricing may get faster; the pivots may not change.
+    Every cell runs the simplex; the 264 cells without structures take no
+    pivot.  Pricing may get faster; the pivots may not change.
     """
     instances, _, pivots = counted_sweep
     assert len(instances) == 864
-    assert (len(pivots), sum(pivots)) == (600, 18_412)
+    assert (len(pivots), pivots.count(0), sum(pivots)) == (864, 264, 18_412)
 
 
 def test_criterion_01_feasibility_sweep(sweep, corpus):

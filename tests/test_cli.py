@@ -370,6 +370,13 @@ class TestRatioStudy:
         code, _ = run_cli(capsys, "ratio-study", "--k", "3", "--kind", "clique", "--n-range", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("n_range", ["5:3", "0:4"])
+    def test_empty_or_nonpositive_range(self, capsys, n_range):
+        code = main(["ratio-study", "--k", "3", "--kind", "clique", "--n-range", n_range])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: invalid n range {n_range}\n"
+
     def test_structured(self, capsys):
         code, out = run_cli(
             capsys,

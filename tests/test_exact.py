@@ -445,6 +445,13 @@ class TestTuran:
         assert turan_tau_complete(2, 3) == 0
         assert turan_tau_complete(4, 5) == 0
 
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="need at least one part"):
+            turan_graph_edge_count(5, 0)
+        assert turan_graph_edge_count(0, 3) == turan_graph_edge_count(-2, 3) == 0
+        with pytest.raises(ValueError, match="k must be at least 3, got 2"):
+            turan_tau_complete(5, 2)
+
     def test_turan_graph_edges_small(self):
         assert turan_graph_edge_count(7, 2) == 12  # K_{3,4}
         assert turan_graph_edge_count(5, 3) == 8  # K_{2,2,1}

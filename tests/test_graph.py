@@ -65,6 +65,7 @@ class TestParse:
             ("3\n0 1", "expected"),
             ("3\n0 1 x", "non-integer"),
             ("x", "vertex count"),
+            ("-1\n", "negative vertex count -1"),
             ("", "missing vertex count"),
         ],
     )
@@ -117,6 +118,7 @@ class TestEdgeSet:
         assert list(s) == [(0, 3), (1, 2)]
         assert (2, 1) in s and (1, 2) in s
         assert (0, 1) not in s
+        assert repr(s) == "EdgeSet([(0, 3), (1, 2)])"
 
     def test_algebra(self):
         a = EdgeSet([(0, 1), (1, 2)])

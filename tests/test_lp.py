@@ -134,8 +134,9 @@ class TestRandomInstances:
             g = random_graph(rng, rng.randint(4, 9), rng.choice([0.4, 0.7, 0.9]))
             m = build_incidence(g, enum(g, k))
             sol = solve_covering_lp(m, g)
-            # solve_covering_lp asserts feasibility, duality, and pigeonhole
-            # internally; re-check the solution from the outside too.
+            # solve_covering_lp checks feasibility and duality internally;
+            # re-check the solution from the outside too, with the pigeonhole
+            # bound that feasibility implies.
             check_lp_certificate(m.row_edge_indices, g, sol)
             # x is stored canonically, as ints over their least common denominator.
             assert sol.edges is g.edges and gcd(sol.value_den, *sol.value_nums) == 1
@@ -289,14 +290,15 @@ def count_pivots(monkeypatch):
 
 
 def least_entering(tableau, bland):
-    """The entering column and reduced cost * pi_den that the stated rule picks.
+    """The entering column and reduced cost * det that the stated rule picks.
 
-    Recomputed from pi, pi_den, the rows and the active set: Dantzig takes
-    the least (reduced cost, id) pair, Bland the least id, in the order
-    y_s = s, then t_e = m + e.
+    Recomputed from the objective row [pi | sum(y)] over det, the rows and
+    the active set: Dantzig takes the least (reduced cost, id) pair, Bland
+    the least id, in the order y_s = s, then t_e = m + e.
     """
-    m, n, pi, den = tableau.m, tableau.n, tableau.pi, tableau.pi_den
-    eligible = {}  # column id -> reduced cost * pi_den
+    m, n, den = tableau.m, tableau.n, tableau.det
+    pi = tableau.tableau[n][:n]
+    eligible = {}  # column id -> reduced cost * det
     for s in tableau.active:
         rc = sum(pi[e] for e in tableau.rows[s]) - den
         if rc < 0:
@@ -366,7 +368,7 @@ class TestPricing:
 
         def checked_violated(tableau, columns):
             got = violated(tableau, columns)
-            pi, den, rows = tableau.pi, tableau.pi_den, tableau.rows
+            pi, den, rows = tableau.tableau[tableau.n][:tableau.n], tableau.det, tableau.rows
             sums = [(sum(pi[e] for e in rows[s]) - den, s) for s in columns]
             assert got == [(rc, s) for rc, s in sums if rc < 0]
             calls["violated"] += 1
@@ -376,7 +378,8 @@ class TestPricing:
             got = column(tableau, ent)
             if ent < tableau.m:
                 idx = tableau.rows[ent]
-                assert got == [sum(row[e] for e in idx) for row in tableau.binv]
+                rows = tableau.tableau[:tableau.n]
+                assert got == [sum(row[e] for e in idx) for row in rows]
                 calls["column"] += 1
             return got
 
@@ -385,6 +388,41 @@ class TestPricing:
         for m, g in small_lps:
             solve_covering_lp(m, g)
         assert calls["violated"] > calls["column"] > len(small_lps)
+
+
+class TestTableau:
+    """The objective row is c_B times the other rows, and zero-row LPs need no pivot."""
+
+    def test_objective_row_is_sum_of_basic_y_rows(self, monkeypatch, small_lps):
+        pivot = lp._DualSimplex._pivot
+        checked = []
+
+        def checked_pivot(tableau, r, ent, rc, col):
+            pivot(tableau, r, ent, rc, col)
+            m, n, rows = tableau.m, tableau.n, tableau.tableau
+            basic_y = [rows[i] for i, b in enumerate(tableau.basis) if b < m]
+            assert rows[n] == [sum(row[j] for row in basic_y) for j in range(n + 1)]
+            checked.append(tableau.det)
+
+        monkeypatch.setattr(lp._DualSimplex, "_pivot", checked_pivot)
+        for m, g in small_lps:
+            solve_covering_lp(m, g)
+        assert len(checked) == 599 and all(det > 0 for det in checked)
+
+    @pytest.mark.parametrize(
+        "g, k",
+        [(complete_graph(4), 5), (WeightedGraph.build(range(3), []), 3),
+         (WeightedGraph.build(range(5), [(0, 1, 2), (1, 2, 3), (3, 4, 1)]), 3)],
+        ids=["K_4 5-cycles", "empty", "sparse"],
+    )
+    def test_zero_rows_solve_without_pivots(self, monkeypatch, g, k):
+        pivots = count_pivots(monkeypatch)
+        m = build_incidence(g, enumerate_k_cycles(g, k))
+        sol = solve_covering_lp(m, g)
+        assert m.row_count == 0 and pivots == [0]
+        assert sol == lp.FractionalSolution(g.edges, 1, (0,) * g.edge_count, Fraction(0),
+                                            0, 1, (), ())
+        check_lp_certificate(m.row_edge_indices, g, sol)
 
 
 def with_row_zero(m, idx):
@@ -532,3 +570,9 @@ class TestDebugDump:
         assert "Minimize" in text and "Subject To" in text and "End" in text
         assert " s_0_1_2: x_0_1 + x_0_2 + x_1_2 >= 1" in text
         assert " 0 <= x_0_1 <= 1" in text
+
+    def test_format_lp_rejects_another_graphs_matrix(self):
+        g = complete_graph(4)
+        m = build_incidence(g, enumerate_k_cycles(g, 3))
+        with pytest.raises(ValueError, match="do not match the graph's edge order"):
+            format_lp(m, complete_graph(5))

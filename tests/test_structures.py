@@ -13,6 +13,7 @@ from kcover.structures import (
     EdgeStructure,
     EnumerationCapError,
     build_incidence,
+    complete_graph_structure_count,
     enumerate_k_cliques,
     enumerate_k_cycles,
     verify_cover,
@@ -239,6 +240,13 @@ class TestMaxK:
         assert [c.vertices for c in enumerate_k_cycles(g, MAX_K)] == [tuple(range(MAX_K))]
         assert not verify_cover(g, MAX_K, "cycle", EdgeSet())
         assert verify_cover(g, MAX_K, "cycle", EdgeSet([(0, 1)]))
+
+
+class TestCompleteGraphCount:
+    @pytest.mark.parametrize("kind", ["cycle", "clique"])
+    def test_k_above_n_is_zero(self, kind):
+        assert complete_graph_structure_count(4, 5, kind, 10) == 0
+        assert complete_graph_structure_count(0, 3, kind, 0) == 0
 
 
 class TestNoReferenceCycles:
