@@ -21,13 +21,14 @@ therefore runs revised primal simplex on the standard-form dual
 
 whose basis has only |E| rows, using the Dantzig rule with deterministic
 tie-breaks and an automatic switch to Bland's anti-cycling rule under
-degenerate stalling.  Structure columns (y) are activated lazily:
-whenever the active columns price out optimal, inactive rows are priced
-and violated ones enter in batches.  Every row sum reads the row through
-one getter per row (an operator.itemgetter), which changes no int and no
-pivot.  The simplex multipliers of the final basis are exactly the primal
-optimum x*, and the basic y values are a dual feasible vector certifying
-optimality; check_lp_certificate verifies both.
+degenerate stalling (Bland 1977).  Every pivot prices every structure
+column (y), so it costs m row sums plus the (n + 1)^2 tableau update; the
+update dominates unless m is far above n^2 (K_9 with 7-cycles, 12,960 rows
+over 36 columns, is such an LP).  Every row sum reads the row through one
+getter per row (an operator.itemgetter), which changes no int and no
+pivot.  The simplex multipliers of the final basis are exactly
+the primal optimum x*, and the basic y values are a dual feasible vector
+certifying optimality; check_lp_certificate verifies both.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from .graph import Edge, WeightedGraph
 
 if TYPE_CHECKING:
     from .structures import IncidenceMatrix
-
-PRICING_BATCH = 64
 
 _ZERO = Fraction(0)
 
@@ -92,10 +91,11 @@ class _DualSimplex:
     """Revised primal simplex on the dual, as one fraction-free integer tableau.
 
     Only the basis inverse is maintained (as the slack block), so a pivot
-    costs O(|E|^2) regardless of how many structure columns exist.  Reduced
-    costs come from the multipliers pi: a structure column prices to
-    sum(pi over its edges) - 1 and a slack t_e to pi_e; at optimality pi is
-    exactly the primal solution x*.
+    costs m row sums to price every structure column, n more to form a
+    structure entering column, and the (n + 1)^2 update of the tableau.
+    Reduced costs come from the multipliers pi: a structure column prices
+    to sum(pi over its edges) - 1 and a slack t_e to pi_e; at optimality pi
+    is exactly the primal solution x*.
 
     `tableau` holds n + 1 rows of Python ints, all over one denominator
     `det` > 0, the last pivot element (1 at the start).  Row i < n is
@@ -117,18 +117,17 @@ class _DualSimplex:
     common to every candidate, so every comparison, and so every pivot, is
     the one exact rationals give.
 
-    Entering rule: one list of eligible columns, each a pair (rc, id), where
-    y_s has id s and t_e has id m + e.  Dantzig takes the least pair: the
-    most negative reduced cost, ties to the least id, so y before t.  After
-    DEGENERATE_SWITCH degenerate pivots in a row, Bland's rule takes the
-    least id until the objective moves again, which preserves the
-    termination guarantee while avoiding Bland's slow typical-case
-    behaviour.
+    Entering rule: one list of every eligible column, each a pair (rc, id),
+    where y_s has id s and t_e has id m + e.  Dantzig takes the least pair:
+    the most negative reduced cost, ties to the least id, so y before t.
+    After DEGENERATE_SWITCH degenerate pivots in a row, Bland's rule takes
+    the least id over all columns until the objective moves again.
 
-    Structure columns are activated lazily: whenever the active set prices
-    out optimal, all inactive columns are priced and the most violated
-    batch joins the scan list.  The active set only grows, and only at
-    active-optimal bases, so cycling across activations is impossible.
+    Termination: a nondegenerate pivot raises sum(y), so no basis recurs
+    across one, and a degenerate run that outlasts the switch goes on under
+    Bland's rule over all m + n columns, with ratio ties to the least basic
+    id, which cannot cycle (Bland 1977).  So the simplex ends, at the first
+    basis where no column prices negative, which is optimal.
     """
 
     DEGENERATE_SWITCH = 30
@@ -142,23 +141,21 @@ class _DualSimplex:
         self.tableau = [[int(j == i) for j in range(n)] + [weights[i]] for i in range(n)]
         self.tableau.append([0] * (n + 1))
         self.det = 1
-        self.active: list[int] = []
-        self.inactive = list(range(self.m))
         self.basis = [self.m + e for e in range(n)]
         self.pivots = 0
         self.degenerate_run = 0
 
     # -- pricing -------------------------------------------------------------
 
-    def _violated(self, columns: list[int]) -> list[tuple[int, int]]:
+    def _violated(self) -> list[tuple[int, int]]:
         """(reduced cost * det, s) of each structure column s that prices negative."""
-        pi, det, get = self.tableau[-1], self.det, self.row_get
-        return [(rc, s) for s in columns if (rc := sum(get[s](pi)) - det) < 0]
+        pi, det = self.tableau[-1], self.det
+        return [(rc, s) for s, get in enumerate(self.row_get) if (rc := sum(get(pi)) - det) < 0]
 
     def _choose_entering(self) -> tuple[int, int] | None:
         """The entering column and its reduced cost * det, or None at optimality."""
         m, pi = self.m, self.tableau[-1]
-        candidates = self._violated(self.active)
+        candidates = self._violated()
         candidates += [(pi[e], m + e) for e in range(self.n) if pi[e] < 0]
         if not candidates:
             return None
@@ -211,27 +208,8 @@ class _DualSimplex:
         else:
             self.degenerate_run = 0
 
-    # -- lazy activation -----------------------------------------------------
-
-    def _price_and_activate(self) -> bool:
-        """Price inactive structure columns; activate the most violated batch."""
-        violated = self._violated(self.inactive)
-        if not violated:
-            return False
-        violated.sort()
-        batch = violated[:PRICING_BATCH]
-        chosen = {s for _, s in batch}
-        self.inactive = [s for s in self.inactive if s not in chosen]
-        self.active.extend(s for _, s in batch)
-        return True
-
     def run(self, pivot_limit: int) -> None:
-        while True:
-            entering = self._choose_entering()
-            if entering is None:
-                if self._price_and_activate():
-                    continue
-                return
+        while (entering := self._choose_entering()) is not None:
             if self.pivots >= pivot_limit:
                 raise SimplexIterationError(
                     f"pivot cap {pivot_limit} exceeded; anti-cycling rule "

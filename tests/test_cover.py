@@ -1,30 +1,41 @@
 import copy
 import pickle
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import floor, lcm
 
 import pytest
 
+from kcover.certificates import (
+    CertificateError,
+    check_cover,
+    check_half_cut,
+    check_improved_parts,
+)
 from kcover.cover import (
     bipartize_half_weight,
     cover_k_cliques_basic,
     cover_k_cliques_improved,
     cover_k_cycles_basic,
     cover_k_cycles_odd,
+    round_basic,
+    round_improved,
     round_threshold,
 )
 from kcover.graph import (
     EdgeSet,
     WeightedGraph,
     complete_graph,
+    edge_induced_subgraph,
     remove_edges,
     total_weight,
     two_coloring,
 )
 from kcover.lp import FractionalSolution, solve_covering_lp
-from kcover.structures import build_incidence, enumerate_k_cycles, verify_cover
+from kcover.structures import CoveringProblem, build_incidence, enumerate_k_cycles, verify_cover
 
 
 def random_graph(rng, n, p):
@@ -190,7 +201,8 @@ class TestImprovedCycleCover:
 
 class TestPickling:
     def test_improved_result_with_parts_round_trip(self):
-        g = random_graph(random.Random(15), 9, 0.5)
+        # A draw whose threshold and bipartization parts are both non-empty.
+        g = random_graph(random.Random(38), 9, 0.5)
         res = cover_k_cycles_odd(g, 5)
         assert res.parts.threshold_edges and res.parts.bipartization_edges
         for copied in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
@@ -298,3 +310,46 @@ class TestPrecomputedSolution:
         bogus = FractionalSolution(g.edges, 1, (1,) * g.edge_count, Fraction(6), 4, 1, (), ())
         with pytest.raises(ValueError):
             cover_k_cycles_basic(g, 3, solution=bogus)
+
+
+class TestCertificateChecks:
+    """Each check behind the roundings rejects its kind of bad answer."""
+
+    def test_check_cover_rejects_bad_results(self):
+        problem = CoveringProblem(complete_graph(5), 3, "cycle")
+        res = round_basic(problem)
+        check_cover(problem, res)
+        missing = replace(res, cover=res.cover - problem.structures[0].edges)
+        with pytest.raises(CertificateError, match="rounded cover is infeasible"):
+            check_cover(problem, missing)
+        heavy = replace(res, cover_weight=floor(res.ratio_bound * res.lp_objective) + 1)
+        with pytest.raises(CertificateError, match="ratio certificate violated"):
+            check_cover(problem, heavy)
+
+    def test_check_improved_parts_rejects_bad_parts(self):
+        # K5's optimum is 1/3 on every edge: nothing reaches 2/5, so every
+        # edge is residual and the span is K5 itself.
+        problem = CoveringProblem(complete_graph(5), 3, "cycle")
+        g, sol, parts = problem.g, problem.solve(), round_improved(problem).parts
+        picked, removed, residual = (parts.threshold_edges, parts.bipartization_edges,
+                                     parts.residual_edges)
+        span = edge_induced_subgraph(g, residual)
+        check_improved_parts(g, sol, 3, picked, removed, residual, span)
+        low = replace(sol, value_nums=(0, *sol.value_nums[1:]))
+        with pytest.raises(CertificateError,
+                           match=re.escape("residual edge value outside [1/(2t-1), 2/(2t-1))")):
+            check_improved_parts(g, low, 3, picked, removed, residual, span)
+        one = EdgeSet(removed.edges[:1])
+        with pytest.raises(CertificateError, match="bipartization removed a picked edge"):
+            check_improved_parts(g, sol, 3, one, removed, residual, span)
+        with pytest.raises(CertificateError, match="bipartization removed a non-residual edge"):
+            check_improved_parts(g, sol, 3, picked, removed, residual - one, span)
+        with pytest.raises(CertificateError,
+                           match="bipartization left the survivors' span non-bipartite"):
+            check_improved_parts(g, sol, 3, picked, EdgeSet(), residual, span)
+
+    def test_check_half_cut_rejects_light_cut(self):
+        g = complete_graph(4)
+        check_half_cut(g, bipartize_half_weight(g).cut_edges)
+        with pytest.raises(CertificateError, match="cut carries less than half the weight"):
+            check_half_cut(g, EdgeSet(g.edges[:2]))

@@ -1,7 +1,8 @@
-"""Every demo prints exactly its golden output in tests/golden/.
+"""Every demo prints exactly its golden output in tests/golden/, and nothing else.
 
 The golden files hold the demos' recorded stdout, so a demo whose output
-changes by one byte fails here.  To accept an intended change, re-record
+changes by one byte fails here.  Each demo runs with every warning turned
+into an error and must leave stderr empty.  To accept an intended change, re-record
 with `python demos/<name>.py > tests/golden/<name>.txt` and say why in the
 change description.
 """
@@ -31,10 +32,11 @@ def test_every_demo_has_a_golden_file():
 def test_demo_output_is_byte_identical(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
     assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_bytes()

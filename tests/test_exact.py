@@ -198,7 +198,10 @@ class TestExactMinCover:
             (complete_graph(6), 3, "clique", 6, 76),
             (complete_graph(7), 3, "clique", 9, 248),
             (random_graph(random.Random(2), 8, 0.6), 5, "cycle", 12, 198),
-            (random_graph(random.Random(4), 9, 0.5), 5, "cycle", 25, 791),
+            # 791 -> 756 nodes, same optimum: the LP that prunes the search
+            # reached another optimal dual once every structure column was
+            # priced at every pivot.
+            (random_graph(random.Random(4), 9, 0.5), 5, "cycle", 25, 756),
         ],
         ids=["K5", "K6", "K7", "seed2-n8", "seed4-n9"],
     )
@@ -356,7 +359,7 @@ class TestExactMaxPacking:
         g = WeightedGraph.build(range(6), [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1)])
         problem = CoveringProblem(g, 3, "clique")
         check_packing(problem, (EdgeStructure("clique", (0, 1, 2)),))
-        with pytest.raises(CertificateError, match="not in the problem"):
+        with pytest.raises(CertificateError, match="is not in the problem$"):
             check_packing(problem, (structure,))
 
 

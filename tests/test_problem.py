@@ -165,7 +165,8 @@ class TestCertificates:
             (lambda g, s: {"dual_nums": (-1,) + s.dual_nums[1:]}, "negative dual"),
             (lambda g, s: {"row_count": s.row_count - 1}, "number of dual"),
             (lambda g, s: {"dual_nums": tuple(3 * v for v in s.dual_nums)}, "strong duality"),
-            pytest.param(lambda g, s: {"value_den": 0}, "box", id="zero value_den"),
+            pytest.param(lambda g, s: {"value_den": 0}, "LP certificate: box bounds violated",
+                         id="zero value_den"),
             pytest.param(lambda g, s: {"value_den": -s.value_den, "value_nums": tuple(
                 -v for v in s.value_nums)}, "box", id="negative value_den"),
             pytest.param(lambda g, s: {"value_nums": (s.value_den + 1, *s.value_nums[1:])},
@@ -173,12 +174,14 @@ class TestCertificates:
             pytest.param(lambda g, s: {"value_nums": (-1, *s.value_nums[1:])},
                          "box", id="negative num"),
             pytest.param(lambda g, s: {"value_nums": s.value_nums[:-1]},
-                         "different edge set", id="num missing"),
+                         "solution is keyed by a different edge set", id="num missing"),
             pytest.param(lambda g, s: {"edges": s.edges[::-1]},
                          "different edge set", id="edges reversed"),
             pytest.param(lambda g, s: {"dual_rows": s.dual_rows[:1],
                                        "dual_nums": (sum(s.dual_nums),)},
-                         "dual infeasible", id="sum moved to one row"),
+                         "LP certificate: dual infeasible", id="sum moved to one row"),
+            pytest.param(lambda g, s: {"objective": s.objective - 1},
+                         "LP certificate: objective mismatch", id="objective lowered"),
         ],
     )
     def test_tampering_rejected(self, tamper, message):
@@ -190,6 +193,22 @@ class TestCertificates:
         rows, g, sol = self.certificate(complete_graph(5))
         with pytest.raises(CertificateError, match="strong duality"):
             check_lp_certificate(rows, g, replace(sol, dual_den=2 * sol.dual_den))
+
+    def test_every_certificate_message_is_in_a_test(self):
+        # A check that no test trips could become a no-op with tier-1 green,
+        # so each `require` message must appear in some test, most as match=.
+        source = (Path(kcover.__file__).parent / "certificates.py").read_text()
+        messages = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require":
+                text = node.args[1]
+                # An f-string message is matched by its literal tail.
+                if isinstance(text, ast.JoinedStr):
+                    text = text.values[-1]
+                messages.append(text.value.strip())
+        tests = "".join(path.read_text() for path in Path(__file__).parent.glob("test_*.py"))
+        assert len(messages) >= 20
+        assert [m for m in messages if m not in tests] == []
 
     def test_package_has_no_assert_statements(self):
         # Every check is program logic, so none of them vanishes under python -O.
