@@ -240,12 +240,21 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph.build(range(n), rows)
 
 
+def _document(n: int, edges: tuple[Edge, ...], rows: Iterable[str]) -> str:
+    """The edge-list document of `rows`; ValueError unless the parsers accept it."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} is outside 0..{MAX_VERTICES}")
+    if bad := [(u, v) for u, v in edges if u < 0 or v >= n]:
+        raise ValueError(f"edges {bad} violate 0 <= u < v < {n}")
+    return "\n".join([str(n), *rows]) + "\n"
+
+
 def serialize_graph(g: WeightedGraph) -> str:
     """Emit the canonical edge-list document (edges sorted lexicographically)."""
+    if g.vertices and g.vertices[0] < 0:
+        raise ValueError(f"vertex {g.vertices[0]} is negative")
     n = max(g.vertices) + 1 if g.vertices else 0
-    lines = [str(n)]
-    lines.extend(f"{u} {v} {g.weight((u, v))}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return _document(n, g.edges, (f"{u} {v} {w}" for (u, v), w in zip(g.edges, g.weights)))
 
 
 def parse_edge_set(text: str) -> tuple[int, EdgeSet]:
@@ -255,9 +264,7 @@ def parse_edge_set(text: str) -> tuple[int, EdgeSet]:
 
 
 def serialize_edge_set(n: int, s: EdgeSet) -> str:
-    lines = [str(n)]
-    lines.extend(f"{u} {v}" for u, v in s)
-    return "\n".join(lines) + "\n"
+    return _document(n, s.edges, (f"{u} {v}" for u, v in s))
 
 
 def _foreign_edges(g: WeightedGraph, s: EdgeSet) -> list[Edge]:

@@ -4,9 +4,10 @@ CoveringProblem, which owns all of them (and the LP optimum) for one instance.
 Every structure is carried in a canonical form so enumeration output is
 deterministic: a clique is its sorted vertex tuple; a cycle is rotated to
 start at its smallest vertex and oriented so the second vertex is smaller
-than the last.  The DFS enumerators generate each structure exactly once
-and recurse once per vertex, so k is at most MAX_K.  An incidence row maps
-a structure's canonical vertex pairs straight through the graph's edge_index.
+than the last.  The DFS enumerators generate each structure exactly once,
+in ascending order, from one explicit stack per root vertex, so k has no
+upper limit.  An incidence row maps a structure's canonical vertex pairs
+straight through the graph's edge_index.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .certificates import check_lp_certificate
 from .graph import Edge, EdgeSet, WeightedGraph, normalize_edge, remove_edges
 
 DEFAULT_MAX_STRUCTURES = 1_000_000
-
-MAX_K = 500  # the enumerators recurse once per vertex; Python's default limit is 1000
 
 KINDS = ("cycle", "clique")
 
@@ -41,8 +40,6 @@ class EnumerationCapError(RuntimeError):
 def _check_k(k: int) -> None:
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
-    if k > MAX_K:
-        raise ValueError(f"k must be at most {MAX_K}, got {k}")
 
 
 def _check_kind(kind: str) -> None:
@@ -77,53 +74,38 @@ def _iter_k_cycle_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
     requiring the second vertex to be smaller than the last.  A root needs
     at least k-1 larger vertices, so the last k-1 vertices start no path.
     """
+    neighbors, has_edge = g.neighbors, g.has_edge
     for root in g.vertices[: max(0, g.vertex_count - k + 1)]:
-        yield from _extend_cycle_path(g, k, [root], {root})
-
-
-def _extend_cycle_path(
-    g: WeightedGraph, k: int, path: list[int], on_path: set[int]
-) -> Iterator[tuple[int, ...]]:
-    # The state travels as arguments rather than in a closure: a recursive
-    # closure is a reference cycle that would keep g alive until the cyclic
-    # garbage collector runs.
-    root, last = path[0], path[-1]
-    if len(path) == k:
-        if path[1] < last and g.has_edge(last, root):
-            yield tuple(path)
-        return
-    for nxt in g.neighbors(last):
-        if nxt > root and nxt not in on_path:
-            path.append(nxt)
-            on_path.add(nxt)
-            yield from _extend_cycle_path(g, k, path, on_path)
-            path.pop()
-            on_path.remove(nxt)
+        stack = [(root,)]
+        while stack:
+            path = stack.pop()
+            ends = neighbors(path[-1])
+            if len(path) < k - 1:  # pushed in reverse, popped in ascending order
+                stack.extend(path + (v,) for v in reversed(ends) if v > root and v not in path)
+                continue
+            for v in ends:
+                if v > path[1] and v not in path and has_edge(v, root):
+                    yield path + (v,)
 
 
 def _iter_k_clique_tuples(g: WeightedGraph, k: int) -> Iterator[tuple[int, ...]]:
     """Vertex sets of k-cliques in lexicographic order.
 
     Ordered DFS: a clique is only extended by vertices larger than its
-    current maximum and adjacent to every member.
+    current maximum and adjacent to every member, while enough remain.
     """
-    for root in g.vertices:
-        yield from _extend_clique(g, k, [root], [u for u in g.neighbors(root) if u > root])
-
-
-def _extend_clique(
-    g: WeightedGraph, k: int, clique: list[int], cands: list[int]
-) -> Iterator[tuple[int, ...]]:
-    if len(clique) == k:
-        yield tuple(clique)
-        return
-    need = k - len(clique)
-    for i, v in enumerate(cands):
-        if len(cands) - i < need:
-            break
-        clique.append(v)
-        yield from _extend_clique(g, k, clique, [u for u in cands[i + 1 :] if g.has_edge(u, v)])
-        clique.pop()
+    neighbors, has_edge = g.neighbors, g.has_edge
+    for root in g.vertices[: max(0, g.vertex_count - k + 1)]:
+        stack = [((root,), [u for u in neighbors(root) if u > root])]
+        while stack:
+            clique, cands = stack.pop()
+            need = k - len(clique)
+            if need == 1:
+                yield from (clique + (v,) for v in cands)
+                continue
+            for i in range(len(cands) - need, -1, -1):  # reversed, as for cycles
+                v = cands[i]
+                stack.append((clique + (v,), [u for u in cands[i + 1 :] if has_edge(u, v)]))
 
 
 def _structure_iterator(g: WeightedGraph, k: int, kind: str) -> Iterator[tuple[int, ...]]:

@@ -10,7 +10,6 @@ import pytest
 import kcover.structures
 from kcover.cli import main
 from kcover.graph import MAX_VERTICES, complete_graph, serialize_graph
-from kcover.structures import MAX_K
 
 K4 = "4\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
 TRIANGLE = "3\n0 1 1\n0 2 1\n1 2 1\n"
@@ -124,19 +123,23 @@ class TestCover:
         code, _ = run_cli(capsys, "cover", k4_file, "--k", "2", "--kind", "cycle")
         assert code == 2
 
-    def test_k_above_cap_is_usage_error(self, capsys, tmp_path):
-        # A valid 1500-vertex cycle: without the cap the DFS would recurse
-        # 1500 deep and die with RecursionError.
+    def test_k_1500_ring(self, capsys, tmp_path):
+        # A valid 1500-vertex cycle: the one structure is a path 1500 deep.
         n = 1500
         ring = tmp_path / "ring.txt"
         ring.write_text(f"{n}\n" + "".join(f"{v} {v + 1} 1\n" for v in range(n - 1)) + f"0 {n - 1} 1\n")
         empty = tmp_path / "empty.txt"
         empty.write_text(f"{n}\n")
-        for command in (["cover"], ["exact"], ["verify", "--cover-file", str(empty)]):
+        expected = [
+            (["cover"], 0, ["cover_weight=1", "lp_objective=1"]),
+            (["exact"], 0, ["status=optimal", "weight=1", "nodes=1501"]),
+            (["verify", "--cover-file", str(empty)], 1, ["feasible=false"]),
+        ]
+        for command, exit_code, lines in expected:
             code = main([*command, str(ring), "--k", str(n), "--kind", "cycle"])
             captured = capsys.readouterr()
-            assert code == 2 and captured.out == ""
-            assert captured.err == f"error: k must be at most {MAX_K}, got {n}\n"
+            assert code == exit_code and "Traceback" not in captured.err
+            assert set(lines) <= set(captured.out.splitlines())
 
     def test_env_override_max_structures(self, capsys, k4_file, monkeypatch):
         monkeypatch.setenv("KCOVER_MAX_STRUCTURES", "2")

@@ -111,6 +111,21 @@ class TestRoundTrip:
         assert s == EdgeSet([(0, 1), (2, 3)])
         assert parse_edge_set(serialize_edge_set(n, s)) == (n, s)
 
+    def test_negative_vertex_not_serialized(self):
+        # Written as "4\n-1 0 2\n", a document parse_graph rejects.
+        g = WeightedGraph.build([-1, 0, 3], [(-1, 0, 2)])
+        with pytest.raises(ValueError, match="vertex -1 is negative"):
+            serialize_graph(g)
+        with pytest.raises(ValueError, match="vertex -1 is negative"):
+            serialize_graph(WeightedGraph.build([-1, 0], []))
+
+    def test_edge_outside_vertex_count_not_serialized(self):
+        for n, s in ((2, EdgeSet([(0, 5)])), (4, EdgeSet([(-2, 1), (0, 1)])), (-1, EdgeSet())):
+            with pytest.raises(ValueError):
+                serialize_edge_set(n, s)
+        with pytest.raises(ValueError, match=r"edges \[\(0, 5\)\] violate 0 <= u < v < 2"):
+            serialize_edge_set(2, EdgeSet([(0, 5)]))
+
 
 class TestEdgeSet:
     def test_normalization_and_order(self):

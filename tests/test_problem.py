@@ -222,6 +222,28 @@ class TestCertificates:
         assert len(sources) >= 8
         assert asserts == []
 
+    def test_package_has_no_self_calls(self):
+        # Searches run on explicit stacks, so no input depth meets Python's
+        # frame limit; `name(...)` or `x.name(...)` inside `def name` would.
+        def is_super(node):
+            return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "super"
+
+        sources = sorted(Path(kcover.__file__).parent.glob("*.py"))
+        self_calls = [
+            f"{path.name}:{call.lineno} {fn.name}"
+            for path in sources
+            for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call)
+            and (
+                getattr(call.func, "id", None) == fn.name
+                or getattr(call.func, "attr", None) == fn.name and not is_super(call.func.value)
+            )
+        ]
+        assert len(sources) >= 8
+        assert self_calls == []
+
     def test_no_path_reads_the_dense_dual(self, monkeypatch):
         self.every_path_without(monkeypatch, "dual")
 

@@ -8,10 +8,10 @@ import pytest
 from brute_force import brute_cliques, brute_cycles
 from kcover.graph import EdgeSet, WeightedGraph, complete_graph, remove_edges
 from kcover.structures import (
-    MAX_K,
     CoveringProblem,
     EdgeStructure,
     EnumerationCapError,
+    _structure_iterator,
     build_incidence,
     complete_graph_structure_count,
     enumerate_k_cliques,
@@ -54,8 +54,11 @@ class TestCycleEnumeration:
 
         monkeypatch.setattr(WeightedGraph, "neighbors", counting)
         g = complete_graph(8)
-        assert enumerate_k_cycles(g, 9) == []
-        assert verify_cover(g, 9, "cycle", EdgeSet())
+        for k in (9, 10**9):
+            assert enumerate_k_cycles(g, k) == []
+            assert enumerate_k_cliques(g, k) == []
+            assert verify_cover(g, k, "cycle", EdgeSet())
+            assert verify_cover(g, k, "clique", EdgeSet())
         assert calls == []
 
     def test_closed_form_counts_on_complete_graphs(self):
@@ -220,26 +223,29 @@ def ring(n):
     return WeightedGraph.build(range(n), [(v, (v + 1) % n, 1) for v in range(n)])
 
 
-class TestMaxK:
-    # The enumerators recurse once per vertex of a structure, so an uncapped
-    # k would end in RecursionError rather than a ValueError.
-    def test_k_above_cap_rejected(self):
-        g = ring(MAX_K + 1)
-        calls = [
-            lambda: enumerate_k_cycles(g, MAX_K + 1),
-            lambda: enumerate_k_cliques(g, MAX_K + 1),
-            lambda: verify_cover(g, MAX_K + 1, "cycle", EdgeSet()),
-            lambda: CoveringProblem(g, 3 * MAX_K, "cycle"),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match=f"k must be at most {MAX_K}, got"):
-                call()
+class TestLargeK:
+    def test_ring_of_1500(self):
+        # One path 1500 vertices deep: the enumerators keep it on a stack,
+        # not in Python frames.
+        g = ring(1500)
+        assert [c.vertices for c in enumerate_k_cycles(g, 1500)] == [tuple(range(1500))]
+        assert enumerate_k_cliques(g, 1500) == []
+        assert not verify_cover(g, 1500, "cycle", EdgeSet())
+        assert verify_cover(g, 1500, "cycle", EdgeSet([(0, 1)]))
+        assert CoveringProblem(g, 1500, "cycle").solve().objective == 1
 
-    def test_k_at_cap_enumerates(self):
-        g = ring(MAX_K)
-        assert [c.vertices for c in enumerate_k_cycles(g, MAX_K)] == [tuple(range(MAX_K))]
-        assert not verify_cover(g, MAX_K, "cycle", EdgeSet())
-        assert verify_cover(g, MAX_K, "cycle", EdgeSet([(0, 1)]))
+
+class TestStructureIterator:
+    @pytest.mark.parametrize("kind", ["cycle", "clique"])
+    def test_ascending_and_complete(self, kind):
+        brute = brute_cycles if kind == "cycle" else brute_cliques
+        rng = random.Random(2025)
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(3, 9), rng.choice([0.5, 0.8, 1.0]))
+            for k in range(3, 7):
+                found = list(_structure_iterator(g, k, kind))
+                assert all(a < b for a, b in zip(found, found[1:]))
+                assert found == brute(g, k)
 
 
 class TestCompleteGraphCount:
