@@ -235,6 +235,44 @@ class TestLargeK:
         assert CoveringProblem(g, 1500, "cycle").solve().objective == 1
 
 
+OLD_MAX_K = 500  # the limit on k the recursive enumerators needed; now gone
+
+
+def two_rings(n):
+    # Two disjoint n-cycles: exactly two n-cycles, no clique above k = 3.
+    edges = [(v, (v + 1) % n, 1) for v in range(n)]
+    edges += [(n + v, n + (v + 1) % n, 1) for v in range(n)]
+    return WeightedGraph.build(range(2 * n), edges)
+
+
+class TestMaxK:
+    def test_k_above_cap_rejected(self):
+        # Above the old limit, k itself is accepted; what is still rejected
+        # is a structure count over max_structures.
+        k = OLD_MAX_K + 1
+        g = two_rings(k)
+        cycles = [c.vertices for c in enumerate_k_cycles(g, k)]
+        assert cycles == [tuple(range(k)), tuple(range(k, 2 * k))]
+        assert enumerate_k_cliques(g, k) == []
+        assert not verify_cover(g, k, "cycle", EdgeSet([(0, 1)]))
+        assert verify_cover(g, k, "cycle", EdgeSet([(0, 1), (k, k + 1)]))
+        calls = [
+            lambda: enumerate_k_cycles(g, k, max_structures=1),
+            lambda: CoveringProblem(g, k, "cycle", max_structures=1).structures,
+        ]
+        for call in calls:
+            with pytest.raises(EnumerationCapError) as exc:
+                call()
+            assert (exc.value.kind, exc.value.k, exc.value.cap) == ("cycle", k, 1)
+        assert CoveringProblem(g, 3 * OLD_MAX_K, "cycle").structures == []
+
+    def test_k_at_cap_enumerates(self):
+        g = ring(OLD_MAX_K)
+        assert [c.vertices for c in enumerate_k_cycles(g, OLD_MAX_K)] == [tuple(range(OLD_MAX_K))]
+        assert not verify_cover(g, OLD_MAX_K, "cycle", EdgeSet())
+        assert verify_cover(g, OLD_MAX_K, "cycle", EdgeSet([(0, 1)]))
+
+
 class TestStructureIterator:
     @pytest.mark.parametrize("kind", ["cycle", "clique"])
     def test_ascending_and_complete(self, kind):
