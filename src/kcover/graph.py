@@ -250,10 +250,16 @@ def _document(n: int, edges: tuple[Edge, ...], rows: Iterable[str]) -> str:
 
 
 def serialize_graph(g: WeightedGraph) -> str:
-    """Emit the canonical edge-list document (edges sorted lexicographically)."""
-    if g.vertices and g.vertices[0] < 0:
+    """Emit the canonical edge-list document (edges sorted lexicographically).
+
+    The document declares a vertex count n and parses back with vertices
+    0 .. n - 1, so only a graph on exactly those vertices is written.
+    """
+    n = len(g.vertices)
+    if n and g.vertices[0] < 0:
         raise ValueError(f"vertex {g.vertices[0]} is negative")
-    n = max(g.vertices) + 1 if g.vertices else 0
+    if n and g.vertices[-1] != n - 1:
+        raise ValueError(f"the {n} vertices are not 0..{n - 1} (the largest is {g.vertices[-1]})")
     return _document(n, g.edges, (f"{u} {v} {w}" for (u, v), w in zip(g.edges, g.weights)))
 
 

@@ -21,13 +21,15 @@ therefore runs revised primal simplex on the standard-form dual
 
 whose basis has only |E| rows, using the Dantzig rule with deterministic
 tie-breaks and an automatic switch to Bland's anti-cycling rule under
-degenerate stalling (Bland 1977).  Every pivot prices every structure
-column (y), so it costs m row sums plus the (n + 1)^2 tableau update; the
-update dominates unless m is far above n^2 (K_9 with 7-cycles, 12,960 rows
-over 36 columns, is such an LP).  Every row sum reads the row through one
-getter per row (an operator.itemgetter), which changes no int and no
-pivot.  The simplex multipliers of the final basis are exactly
-the primal optimum x*, and the basic y values are a dual feasible vector
+degenerate stalling (Bland 1977).  A basic slack's column of the basis
+inverse is a unit vector, so only the b columns of nonbasic slacks are
+stored, one per basic y (b <= min(m, n)).  Every pivot prices every
+structure column (y), so it costs m row sums plus an (n + 1)(b + 1)
+tableau update, and setting up costs O(n): an LP with few rows keeps a
+small tableau however many edges it has.  Every row sum reads the row
+through one getter per row (an operator.itemgetter), which changes no int
+and no pivot.  The simplex multipliers of the final basis are exactly the
+primal optimum x*, and the basic y values are a dual feasible vector
 certifying optimality; check_lp_certificate verifies both.
 """
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -90,32 +93,44 @@ class FractionalSolution:
 class _DualSimplex:
     """Revised primal simplex on the dual, as one fraction-free integer tableau.
 
-    Only the basis inverse is maintained (as the slack block), so a pivot
-    costs m row sums to price every structure column, n more to form a
-    structure entering column, and the (n + 1)^2 update of the tableau.
-    Reduced costs come from the multipliers pi: a structure column prices
-    to sum(pi over its edges) - 1 and a slack t_e to pi_e; at optimality pi
-    is exactly the primal solution x*.
+    Only the basis inverse is maintained, so a pivot costs m row sums to
+    price every structure column, n more to form a structure entering
+    column, and an (n + 1)(b + 1) update of the tableau, where b <= min(m, n)
+    is the number of basic structure columns.  Reduced costs come from the
+    multipliers pi: a structure column prices to sum(pi over its edges) - 1
+    and a slack t_e to pi_e; at optimality pi is exactly the primal
+    solution x*.
 
     `tableau` holds n + 1 rows of Python ints, all over one denominator
     `det` > 0, the last pivot element (1 at the start).  Row i < n is
-    [row i of the basis inverse | value of basic variable i]; the last row
-    is the objective row [pi | sum(y)], integral over det because it is
-    c_B times the integer adjugate of the basis (up to sign).  A pivot on
-    row r with element `piv` keeps row r, maps every other row a, the
-    objective row included, to (piv * a - f * b) // det, where f is the
-    row's entry in the entering column (the reduced cost * det for the
-    objective row) and b is row r, and sets det = piv; each division is
-    exact (Edmonds 1967, Bareiss 1968).  Entering columns are ints over det
-    too, so the ratio test compares the value entries crosswise.
+    [value of basic variable i | row i of the basis inverse, on the stored
+    columns]; the last row is the objective row [sum(y) | pi], integral
+    over det because it is c_B times the integer adjugate of the basis (up
+    to sign).  A pivot on row r
+    with element `piv` keeps row r, maps every other row a, the objective
+    row included, to (piv * a - f * b) // det, where f is the row's entry
+    in the entering column (the reduced cost * det for the objective row)
+    and b is row r, and sets det = piv; each division is exact (Edmonds
+    1967, Bareiss 1968).  A row with f = 0 is only rescaled, and left as it
+    is when piv = det.  Entering columns are ints over det too, so the
+    ratio test compares the value entries crosswise.
+
+    Column e of the basis inverse is stored only while t_e is nonbasic:
+    `cols` lists those edges, row[1 + j] holding column cols[j].  While t_e
+    is basic, in row `slack_row[e]`, column e is det times the unit vector
+    at that row and pi_e = 0, and every pivot that keeps t_e basic keeps it
+    so, since row r's entry in it is 0.  So a row holds b + 1 ints, not
+    n + 1.  When t_e leaves, its column is stored as that unit vector before
+    the update; when t_e enters at row r, the update turns its column into
+    det times the unit vector at r, and it is dropped.
 
     Every reduced cost is handled multiplied by det: a structure column is
     sum(pi[e] for e in row) - det and a t column pi[e] (eligible when
-    pi[e] < 0).  Row s is read through `row_get[s]`, one C call for its
-    entries of pi or of a tableau row: the same ints as a loop over the
-    row, so the same candidates, order and pivots.  det is positive and
-    common to every candidate, so every comparison, and so every pivot, is
-    the one exact rationals give.
+    pi[e] < 0).  Row s is priced through `row_get[s]`, one C call for its
+    entries of pi: the same ints as a loop over the row, so the same
+    candidates, order and pivots.  det is positive and common to every
+    candidate, so every comparison, and so every pivot, is the one exact
+    rationals give.
 
     Entering rule: one list of every eligible column, each a pair (rc, id),
     where y_s has id s and t_e has id m + e.  Dantzig takes the least pair:
@@ -137,26 +152,35 @@ class _DualSimplex:
         self.row_get = [row_getter(idx) for idx in rows]
         self.m = len(rows)
         self.n = n = len(weights)
-        # [identity | w] on the slack basis, then the objective row [0 | 0], over det = 1.
-        self.tableau = [[int(j == i) for j in range(n)] + [weights[i]] for i in range(n)]
-        self.tableau.append([0] * (n + 1))
+        # [w_i] on the slack basis, whose inverse stores no column, then the objective row [0].
+        self.tableau = [[w] for w in weights]
+        self.tableau.append([0])
         self.det = 1
         self.basis = [self.m + e for e in range(n)]
+        self.slack_row = list(range(n))
+        self.cols: list[int] = []
         self.pivots = 0
         self.degenerate_run = 0
 
     # -- pricing -------------------------------------------------------------
 
+    def _pi(self) -> list[int]:
+        """The multipliers * det on every edge, 0 on the implicit columns."""
+        pi = [0] * self.n
+        for e, p in zip(self.cols, self.tableau[-1][1:]):
+            pi[e] = p
+        return pi
+
     def _violated(self) -> list[tuple[int, int]]:
         """(reduced cost * det, s) of each structure column s that prices negative."""
-        pi, det = self.tableau[-1], self.det
+        pi, det = self._pi(), self.det
         return [(rc, s) for s, get in enumerate(self.row_get) if (rc := sum(get(pi)) - det) < 0]
 
     def _choose_entering(self) -> tuple[int, int] | None:
         """The entering column and its reduced cost * det, or None at optimality."""
-        m, pi = self.m, self.tableau[-1]
+        m = self.m
         candidates = self._violated()
-        candidates += [(pi[e], m + e) for e in range(self.n) if pi[e] < 0]
+        candidates += [(p, m + e) for e, p in zip(self.cols, self.tableau[-1][1:]) if p < 0]
         if not candidates:
             return None
         bland = self.degenerate_run >= self.DEGENERATE_SWITCH
@@ -165,12 +189,20 @@ class _DualSimplex:
 
     def _column(self, ent: int) -> list[int]:
         """The entering column in the current basis, as ints over det."""
-        rows = self.tableau[:-1]
-        if ent < self.m:
-            get = self.row_get[ent]
-            return [sum(get(row)) for row in rows]
-        e = ent - self.m
-        return [row[e] for row in rows]
+        rows, cols, slack_row = self.tableau[:-1], self.cols, self.slack_row
+        if ent >= self.m:
+            j = 1 + cols.index(ent - self.m)
+            return [row[j] for row in rows]
+        idx = self.rows[ent]
+        if stored := tuple(1 + cols.index(e) for e in idx if slack_row[e] < 0):
+            get = row_getter(stored)
+            col = [sum(get(row)) for row in rows]
+        else:
+            col = [0] * self.n
+        for e in idx:
+            if (i := slack_row[e]) >= 0:
+                col[i] += self.det
+        return col
 
     # -- pivoting ------------------------------------------------------------
 
@@ -183,7 +215,7 @@ class _DualSimplex:
                 if best_i < 0:
                     best_i = i
                     continue
-                here, best = tableau[i][-1] * col[best_i], tableau[best_i][-1] * c
+                here, best = tableau[i][0] * col[best_i], tableau[best_i][0] * c
                 if here < best or (here == best and basis[i] < basis[best_i]):
                     best_i = i
         if best_i < 0:
@@ -194,16 +226,36 @@ class _DualSimplex:
         return best_i
 
     def _pivot(self, r: int, ent: int, rc: int, col: list[int]) -> None:
-        piv, det, tableau = col[r], self.det, self.tableau
+        piv, det, tableau, m, n = col[r], self.det, self.tableau, self.m, self.n
+        if (leaving := self.basis[r]) >= m:
+            # t_e leaves: store its column, det at row r, for the update to act on.
+            self.slack_row[leaving - m] = -1
+            self.cols.append(leaving - m)
+            for row in tableau:
+                row.append(0)
+            tableau[r][-1] = det
         prow = tableau[r]
         # The objective row's entry in the entering column is its reduced cost * det.
-        for i, f in enumerate(col + [rc]):
-            if i != r:
+        fs = col + [rc]
+        # With piv == det, a row whose f is 0 keeps every entry, so only the others are visited.
+        for i in range(n + 1) if piv != det else compress(range(n + 1), fs):
+            if i == r:
+                continue
+            if f := fs[i]:
                 tableau[i] = [(piv * a - f * b) // det for a, b in zip(tableau[i], prow)]
+            else:
+                tableau[i] = [piv * a // det for a in tableau[i]]
+        if ent >= m:
+            # t_e enters: its column is now piv (the new det) at row r and 0 elsewhere.
+            j = 1 + self.cols.index(ent - m)
+            del self.cols[j - 1]
+            for row in tableau:
+                del row[j]
+            self.slack_row[ent - m] = r
         self.det = piv
         self.basis[r] = ent
         self.pivots += 1
-        if prow[-1] == 0:
+        if prow[0] == 0:
             self.degenerate_run += 1
         else:
             self.degenerate_run = 0
@@ -222,15 +274,14 @@ class _DualSimplex:
 
     def solution(self, edges: tuple[Edge, ...]) -> FractionalSolution:
         """x = pi / det, the basic y values as the dual, and the objective sum(y) / det."""
-        m, det, n = self.m, self.det, self.n
-        *rows, objective_row = self.tableau
-        pi = objective_row[:n]
+        m, det = self.m, self.det
+        pi = self._pi()
         x_common = gcd(det, *pi)
         # The nonzero y are values over det; det // y_common is their least common denominator.
-        dual = sorted((b, row[-1]) for b, row in zip(self.basis, rows) if b < m and row[-1])
+        dual = sorted((b, row[0]) for b, row in zip(self.basis, self.tableau) if b < m and row[0])
         y_common = gcd(det, *(v for _, v in dual))
         return FractionalSolution(edges, det // x_common, tuple(p // x_common for p in pi),
-                                  Fraction(objective_row[-1], det), m, det // y_common,
+                                  Fraction(self.tableau[-1][0], det), m, det // y_common,
                                   tuple(b for b, _ in dual), tuple(v // y_common for _, v in dual))
 
 

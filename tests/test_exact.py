@@ -408,6 +408,15 @@ class TestDeepInstances:
         res = min_cover(problem)
         assert (res.status, res.weight) == ("optimal", self.COUNT)
 
+    def test_cover_solves_its_lp(self):
+        # 3,300 columns and 1,100 rows: the simplex stores one column of the
+        # basis inverse per basic triangle, so the LP stays small.
+        problem = CoveringProblem(disjoint_triangles(self.COUNT), 3, "clique")
+        res = min_cover(problem)
+        assert (res.status, res.weight) == ("optimal", self.COUNT)
+        assert res.node_count == 3 * self.COUNT + 1
+        assert problem.solve().objective == self.COUNT
+
 
 class TestSandwich:
     def test_k7_values(self):

@@ -119,6 +119,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="vertex -1 is negative"):
             serialize_graph(WeightedGraph.build([-1, 0], []))
 
+    def test_vertex_gap_not_serialized(self):
+        # Written as "6\n2 5 1\n", it would parse back with vertices 0..5.
+        g = edge_induced_subgraph(complete_graph(6), EdgeSet([(2, 5)]))
+        assert g.vertices == (2, 5)
+        with pytest.raises(ValueError, match=r"^the 2 vertices are not 0\.\.1 \(the largest is 5\)$"):
+            serialize_graph(g)
+        with pytest.raises(ValueError, match="vertex -1 is negative"):
+            serialize_graph(WeightedGraph.build([-1, 7], []))
+        assert serialize_graph(WeightedGraph.build([], [])) == "0\n"
+
     def test_edge_outside_vertex_count_not_serialized(self):
         for n, s in ((2, EdgeSet([(0, 5)])), (4, EdgeSet([(-2, 1), (0, 1)])), (-1, EdgeSet())):
             with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -12,7 +13,12 @@ from kcover.graph import WeightedGraph, complete_graph
 from kcover import lp
 from kcover.certificates import CertificateError, check_lp_certificate
 from kcover.lp import SimplexIterationError, format_lp, solve_covering_lp
-from kcover.structures import build_incidence, enumerate_k_cliques, enumerate_k_cycles
+from kcover.structures import (
+    CoveringProblem,
+    build_incidence,
+    enumerate_k_cliques,
+    enumerate_k_cycles,
+)
 
 
 def random_graph(rng, n, p):
@@ -293,6 +299,26 @@ def count_pivots(monkeypatch):
     return pivots
 
 
+def dense_tableau(tableau):
+    """The tableau read back as n + 1 dense rows [basis-inverse row | value].
+
+    Each row's stored entries go to the edges of `cols`; the column of a
+    basic slack t_e, which is not stored, reads as det at its row
+    `slack_row[e]` and 0 elsewhere, in the objective row too.
+    """
+    n = tableau.n
+    dense = []
+    for row in tableau.tableau:
+        full = [0] * n
+        for e, v in zip(tableau.cols, row[1:], strict=True):
+            full[e] = v
+        dense.append(full + [row[0]])
+    for e, i in enumerate(tableau.slack_row):
+        if i >= 0:
+            dense[i][e] = tableau.det
+    return dense
+
+
 def least_entering(tableau, bland):
     """The entering column and reduced cost * det that the stated rule picks.
 
@@ -301,7 +327,7 @@ def least_entering(tableau, bland):
     id, in the order y_s = s, then t_e = m + e.
     """
     m, n, den = tableau.m, tableau.n, tableau.det
-    pi = tableau.tableau[n][:n]
+    pi = dense_tableau(tableau)[n][:n]
     eligible = {}  # column id -> reduced cost * det
     for s, row in enumerate(tableau.rows):
         rc = sum(pi[e] for e in row) - den
@@ -378,7 +404,8 @@ class TestPricing:
 
         def checked_violated(tableau):
             got = violated(tableau)
-            pi, den = tableau.tableau[tableau.n][:tableau.n], tableau.det
+            n, den = tableau.n, tableau.det
+            pi = dense_tableau(tableau)[n][:n]
             sums = [(sum(pi[e] for e in row) - den, s) for s, row in enumerate(tableau.rows)]
             assert got == [(rc, s) for rc, s in sums if rc < 0]
             calls["violated"] += 1
@@ -388,7 +415,7 @@ class TestPricing:
             got = column(tableau, ent)
             if ent < tableau.m:
                 idx = tableau.rows[ent]
-                rows = tableau.tableau[:tableau.n]
+                rows = dense_tableau(tableau)[:tableau.n]
                 assert got == [sum(row[e] for e in idx) for row in rows]
                 calls["column"] += 1
             return got
@@ -409,7 +436,7 @@ class TestTableau:
 
         def checked_pivot(tableau, r, ent, rc, col):
             pivot(tableau, r, ent, rc, col)
-            m, n, rows = tableau.m, tableau.n, tableau.tableau
+            m, n, rows = tableau.m, tableau.n, dense_tableau(tableau)
             basic_y = [rows[i] for i, b in enumerate(tableau.basis) if b < m]
             assert rows[n] == [sum(row[j] for row in basic_y) for j in range(n + 1)]
             checked.append(tableau.det)
@@ -418,6 +445,33 @@ class TestTableau:
         for m, g in small_lps:
             solve_covering_lp(m, g)
         assert len(checked) == SMALL_LPS_PIVOTS and all(det > 0 for det in checked)
+
+    def test_only_nonbasic_slack_columns_are_stored(self, monkeypatch, small_lps):
+        # A basic slack's column is not stored and reads back as det at its
+        # row; with the stored columns, the basis inverse times the basis is
+        # det times the identity.
+        pivot = lp._DualSimplex._pivot
+        stored = []
+
+        def checked_pivot(tableau, r, ent, rc, col):
+            pivot(tableau, r, ent, rc, col)
+            m, n, det, basis = tableau.m, tableau.n, tableau.det, tableau.basis
+            slack_rows = {e: i for e, i in enumerate(tableau.slack_row) if i >= 0}
+            assert slack_rows == {b - m: i for i, b in enumerate(basis) if b >= m}
+            assert sorted(tableau.cols) == [e for e in range(n) if e not in slack_rows]
+            assert len(tableau.cols) == sum(b < m for b in basis)
+            binv = dense_tableau(tableau)[:n]
+            for j, b in enumerate(basis):
+                edges = tableau.rows[b] if b < m else (b - m,)
+                assert [sum(row[e] for e in edges) for row in binv] == [
+                    det * (i == j) for i in range(n)
+                ]
+            stored.append(len(tableau.cols))
+
+        monkeypatch.setattr(lp._DualSimplex, "_pivot", checked_pivot)
+        for m, g in small_lps:
+            solve_covering_lp(m, g)
+        assert len(stored) == SMALL_LPS_PIVOTS and 0 < max(stored)
 
     @pytest.mark.parametrize(
         "g, k",
@@ -433,6 +487,38 @@ class TestTableau:
         assert sol == lp.FractionalSolution(g.edges, 1, (0,) * g.edge_count, Fraction(0),
                                             0, 1, (), ())
         check_lp_certificate(m.row_edge_indices, g, sol)
+
+
+class TestSparseLPs:
+    """An LP with far fewer rows than edges costs what its rows cost, not |E|^2.
+
+    Only the basis inverse's columns of nonbasic slacks are stored, one per
+    basic structure column, so these LPs keep a small tableau.
+    """
+
+    def test_one_row_ring_stays_small(self):
+        n = 3000
+        g = WeightedGraph.build(range(n), [(v, (v + 1) % n, 1) for v in range(n)])
+        problem = CoveringProblem(g, n, "cycle")
+        assert problem.incidence.row_count == 1
+        tracemalloc.start()
+        try:
+            sol = problem.solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A dense (n + 1)^2 tableau of ints would take about 78 MB.
+        assert sol.objective == 1 and peak < 5_000_000
+
+    def test_disjoint_triangles_pivot_once_each(self, monkeypatch):
+        count = 400
+        g = WeightedGraph.build(range(3 * count), [
+            (3 * i + a, 3 * i + b, 1) for i in range(count) for a, b in ((0, 1), (0, 2), (1, 2))
+        ])
+        pivots = count_pivots(monkeypatch)
+        m = build_incidence(g, enumerate_k_cliques(g, 3))
+        sol = solve_covering_lp(m, g)
+        assert (m.row_count, sol.objective, pivots) == (count, count, [count])
 
 
 def with_row_zero(m, idx):
