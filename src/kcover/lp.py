@@ -24,20 +24,27 @@ tie-breaks and an automatic switch to Bland's anti-cycling rule under
 degenerate stalling (Bland 1977).  A basic slack's column of the basis
 inverse is a unit vector, so only the b columns of nonbasic slacks are
 stored, one per basic y (b <= min(m, n)).  Every pivot prices every
-structure column (y), so it costs m row sums plus an (n + 1)(b + 1)
-tableau update, and setting up costs O(n): an LP with few rows keeps a
-small tableau however many edges it has.  Every row sum reads the row
-through one getter per row (an operator.itemgetter), which changes no int
-and no pivot.  The simplex multipliers of the final basis are exactly the
-primal optimum x*, and the basic y values are a dual feasible vector
-certifying optimality; check_lp_certificate verifies both.
+structure column (y) from one int that packs the row sums of the
+multipliers, a fixed-width field per row, and that each pivot updates
+with the objective row's own step (SWAR, "SIMD within a register":
+Lamport, CACM 18(8), 1975).  So a pivot costs O(b) big-int operations on
+m-field ints, in C, in place of m Python row sums, plus an
+(n + 1)(b + 1) tableau update, and setting up costs O(n) and one pass
+over the rows: an LP with few rows keeps a small tableau however many
+edges it has.  Every reduced cost is still the int a plain row sum
+gives, so no pivot changes.  The simplex multipliers of the final basis
+are exactly the primal optimum x*, and the basic y values are a dual
+feasible vector certifying optimality; check_lp_certificate verifies
+both.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
 from math import gcd
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -90,16 +97,40 @@ class FractionalSolution:
         return tuple(dense)
 
 
+_SIGN = 1 << 31  # the top bit of a 32-bit word
+
+
+def _ones(m: int, width: int) -> int:
+    """1 in each of m `width`-bit fields."""
+    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * m, "little")
+
+
+def _pack(at: list[int], width: int) -> tuple[int, int]:
+    """An edge's column of the incidence, packed, and its shift.
+
+    `at` lists the rows the edge occurs in, ascending, a row once per
+    occurrence (at most 255).  The packed column holds the edge's count in
+    each row from its first row lo to its last, one `width`-bit field per
+    row, row lo in field 0, and its shift is width * lo; so a block-sparse
+    incidence packs to about one field per nonzero.
+    """
+    size, lo = width // 8, at[0] if at else 0
+    fields = bytearray(size * (at[-1] - lo + 1) if at else 0)
+    for s in at:
+        fields[size * (s - lo)] += 1
+    return int.from_bytes(fields, "little"), width * lo
+
+
 class _DualSimplex:
     """Revised primal simplex on the dual, as one fraction-free integer tableau.
 
-    Only the basis inverse is maintained, so a pivot costs m row sums to
-    price every structure column, n more to form a structure entering
-    column, and an (n + 1)(b + 1) update of the tableau, where b <= min(m, n)
-    is the number of basic structure columns.  Reduced costs come from the
-    multipliers pi: a structure column prices to sum(pi over its edges) - 1
-    and a slack t_e to pi_e; at optimality pi is exactly the primal
-    solution x*.
+    Only the basis inverse is maintained, so a pivot costs O(b) big-int
+    operations on the packed row sums to price every structure column, n
+    sums to form a structure entering column, and an (n + 1)(b + 1) update
+    of the tableau, where b <= min(m, n) is the number of basic structure
+    columns.  Reduced costs come from the multipliers pi: a structure
+    column prices to sum(pi over its edges) - 1 and a slack t_e to pi_e; at
+    optimality pi is exactly the primal solution x*.
 
     `tableau` holds n + 1 rows of Python ints, all over one denominator
     `det` > 0, the last pivot element (1 at the start).  Row i < n is
@@ -125,9 +156,20 @@ class _DualSimplex:
     det times the unit vector at r, and it is dropped.
 
     Every reduced cost is handled multiplied by det: a structure column is
-    sum(pi[e] for e in row) - det and a t column pi[e] (eligible when
-    pi[e] < 0).  Row s is priced through `row_get[s]`, one C call for its
-    entries of pi: the same ints as a loop over the row, so the same
+    S_s - det, where S_s = sum(pi[e] for e in row s), and a t column pi[e]
+    (eligible when pi[e] < 0).  One int, `sums`, holds every S_s in a
+    signed `width`-bit field: sums = sum(S_s * 2^(width * s)).  Edge e's
+    column of the incidence is packed the same way (`packed[e]`, see
+    _pack), once t_e first leaves.  A pivot gives `sums` the objective
+    row's own step, sums <- (piv * sums - rc * R) // det, where R sums row
+    r's entry on each stored column times that edge's packed column; the
+    step is linear and exact in every field, so the division is exact.
+    Pricing adds 2^(width - 1) - det to every field and reads each field's
+    top 32-bit word, whose top bit is clear exactly when the row prices
+    negative.  `width` is the least multiple of 32 above the bit length of
+    longest * max|pi| + det, which bounds every |S_s - det|; when a pivot
+    outgrows it, the columns are repacked and `sums` is recomputed from pi.
+    So every reduced cost is the int a plain row sum gives: the same
     candidates, order and pivots.  det is positive and common to every
     candidate, so every comparison, and so every pivot, is the one exact
     rationals give.
@@ -149,8 +191,7 @@ class _DualSimplex:
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], weights: tuple[int, ...]):
         self.rows = rows
-        self.row_get = [row_getter(idx) for idx in rows]
-        self.m = len(rows)
+        self.m = m = len(rows)
         self.n = n = len(weights)
         # [w_i] on the slack basis, whose inverse stores no column, then the objective row [0].
         self.tableau = [[w] for w in weights]
@@ -161,6 +202,16 @@ class _DualSimplex:
         self.cols: list[int] = []
         self.pivots = 0
         self.degenerate_run = 0
+        # The packed row sums of pi, which is 0 at the start (see the class docstring).
+        self.longest = max(map(len, rows), default=0)
+        self.width = 32
+        self.occurs: list[list[int]] = [[] for _ in range(n)]
+        for s, idx in enumerate(rows):
+            for e in idx:
+                self.occurs[e].append(s)
+        self.packed: dict[int, tuple[int, int]] = {}  # stored column e -> _pack(occurs[e], width)
+        self.ones = _ones(m, 32)
+        self.sums = 0
 
     # -- pricing -------------------------------------------------------------
 
@@ -171,19 +222,46 @@ class _DualSimplex:
             pi[e] = p
         return pi
 
-    def _violated(self) -> list[tuple[int, int]]:
-        """(reduced cost * det, s) of each structure column s that prices negative."""
-        pi, det = self._pi(), self.det
-        return [(rc, s) for s, get in enumerate(self.row_get) if (rc := sum(get(pi)) - det) < 0]
+    def _least_violated(self, bland: bool) -> tuple[int, int] | None:
+        """(reduced cost * det, s) of the structure column the rule takes, or None.
+
+        Field s of t is rc_s + 2^(width - 1), in (0, 2^width), so its top
+        bit is clear exactly when rc_s < 0, and the fields order as the rc_s
+        do.  Bland's least s has the first top word below 2^31; Dantzig's
+        least (rc, s) has the least top word, the first one when width is
+        32, and the least lower words among those when it is wider.
+        """
+        width, mask, half = self.width, (1 << self.width) - 1, 1 << self.width - 1
+        step = width // 32
+        t = self.sums + (half - self.det) * self.ones
+        words = array("I", t.to_bytes(4 * step * self.m, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        tops = words[step - 1::step].tolist()
+        if (low := min(tops, default=_SIGN)) >= _SIGN:
+            return None
+        if bland:
+            s = next(compress(count(), map(_SIGN.__gt__, tops)))
+        elif step == 1:
+            s = tops.index(low)
+        else:
+            # Wider fields can share their top word: their lower words decide, top down.
+            ties = list(compress(count(), map(low.__eq__, tops)))
+            for j in range(step - 2, -1, -1):
+                below = [words[step * s + j] for s in ties]
+                ties = list(compress(ties, map(min(below).__eq__, below)))
+            s = ties[0]
+        return (t >> width * s & mask) - half, s
 
     def _choose_entering(self) -> tuple[int, int] | None:
         """The entering column and its reduced cost * det, or None at optimality."""
         m = self.m
-        candidates = self._violated()
-        candidates += [(p, m + e) for e, p in zip(self.cols, self.tableau[-1][1:]) if p < 0]
+        bland = self.degenerate_run >= self.DEGENERATE_SWITCH
+        candidates = [(p, m + e) for e, p in zip(self.cols, self.tableau[-1][1:]) if p < 0]
+        if least := self._least_violated(bland):
+            candidates.append(least)
         if not candidates:
             return None
-        bland = self.degenerate_run >= self.DEGENERATE_SWITCH
         rc, ent = min(candidates, key=itemgetter(1)) if bland else min(candidates)
         return ent, rc
 
@@ -229,8 +307,11 @@ class _DualSimplex:
         piv, det, tableau, m, n = col[r], self.det, self.tableau, self.m, self.n
         if (leaving := self.basis[r]) >= m:
             # t_e leaves: store its column, det at row r, for the update to act on.
-            self.slack_row[leaving - m] = -1
-            self.cols.append(leaving - m)
+            e = leaving - m
+            self.slack_row[e] = -1
+            self.cols.append(e)
+            if e not in self.packed:
+                self.packed[e] = _pack(self.occurs[e], self.width)
             for row in tableau:
                 row.append(0)
             tableau[r][-1] = det
@@ -245,6 +326,8 @@ class _DualSimplex:
                 tableau[i] = [(piv * a - f * b) // det for a, b in zip(tableau[i], prow)]
             else:
                 tableau[i] = [piv * a // det for a in tableau[i]]
+        # The objective row's step on its packed row sums; each field divides exactly.
+        self.sums = (piv * self.sums - rc * self._packed_sums(prow)) // det
         if ent >= m:
             # t_e enters: its column is now piv (the new det) at row r and 0 elsewhere.
             j = 1 + self.cols.index(ent - m)
@@ -259,6 +342,26 @@ class _DualSimplex:
             self.degenerate_run += 1
         else:
             self.degenerate_run = 0
+        # Every |S_s - det| is at most longest * max|pi| + det.
+        bound = self.longest * max(map(abs, tableau[-1][1:]), default=0) + piv
+        if bound.bit_length() >= self.width:
+            self._widen(bound.bit_length())
+
+    def _packed_sums(self, row: list[int]) -> int:
+        """The row sums of a tableau row's stored entries, packed one field per structure."""
+        packed, total = self.packed, 0
+        for e, p in zip(self.cols, row[1:]):
+            if p:
+                col, shift = packed[e]
+                total += p * col << shift
+        return total
+
+    def _widen(self, bits: int) -> None:
+        """Repack at the least multiple of 32 above `bits`, and the row sums from pi."""
+        self.width = width = 32 * (bits // 32 + 1)
+        self.packed = {e: _pack(self.occurs[e], width) for e in self.cols}
+        self.ones = _ones(self.m, width)
+        self.sums = self._packed_sums(self.tableau[-1])
 
     def run(self, pivot_limit: int) -> None:
         while (entering := self._choose_entering()) is not None:

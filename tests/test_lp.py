@@ -395,21 +395,26 @@ class TestEnteringRule:
             assert b.objective == a.objective
 
 
+def unpacked_sums(tableau):
+    """The packed row sums read back as m signed ints, one per `width`-bit field."""
+    width, half = tableau.width, 1 << tableau.width - 1
+    biased = tableau.sums + sum(half << width * s for s in range(tableau.m))
+    return [(biased >> width * s & (1 << width) - 1) - half for s in range(tableau.m)]
+
+
 class TestPricing:
-    """Every price and entering column equals plain sums over the rows, in order."""
+    """The packed row sums are plain sums over pi, and entering columns over the rows."""
 
     def test_prices_and_columns_are_row_sums(self, monkeypatch, small_lps):
-        violated, column = lp._DualSimplex._violated, lp._DualSimplex._column
-        calls = {"violated": 0, "column": 0}
+        least, column = lp._DualSimplex._least_violated, lp._DualSimplex._column
+        calls = {"price": 0, "column": 0}
 
-        def checked_violated(tableau):
-            got = violated(tableau)
-            n, den = tableau.n, tableau.det
+        def checked_least(tableau, bland):
+            n = tableau.n
             pi = dense_tableau(tableau)[n][:n]
-            sums = [(sum(pi[e] for e in row) - den, s) for s, row in enumerate(tableau.rows)]
-            assert got == [(rc, s) for rc, s in sums if rc < 0]
-            calls["violated"] += 1
-            return got
+            assert unpacked_sums(tableau) == [sum(pi[e] for e in row) for row in tableau.rows]
+            calls["price"] += 1
+            return least(tableau, bland)
 
         def checked_column(tableau, ent):
             got = column(tableau, ent)
@@ -420,11 +425,35 @@ class TestPricing:
                 calls["column"] += 1
             return got
 
-        monkeypatch.setattr(lp._DualSimplex, "_violated", checked_violated)
+        monkeypatch.setattr(lp._DualSimplex, "_least_violated", checked_least)
         monkeypatch.setattr(lp._DualSimplex, "_column", checked_column)
         for m, g in small_lps:
             solve_covering_lp(m, g)
-        assert calls["violated"] > calls["column"] > len(small_lps)
+        assert calls["price"] > calls["column"] > len(small_lps)
+
+    def test_wide_fields_choose_the_least_column(self, monkeypatch):
+        # Acceptance cell n=12, p=0.8, draw 1, 5-cycles: k * max|pi| + det
+        # outgrows 31 bits, so its fields widen to 64 bits, where Dantzig's
+        # least top word is shared and the low words decide.
+        g = random_graph(random.Random((20240801, 12, 0.8, 1).__repr__()), 12, 0.8)
+        m = build_incidence(g, enumerate_k_cycles(g, 5))
+        choose = lp._DualSimplex._choose_entering
+        wide = {"calls": 0, "ties": 0}
+
+        def checked(tableau):
+            choice = choose(tableau)
+            bland = tableau.degenerate_run >= tableau.DEGENERATE_SWITCH
+            assert choice == least_entering(tableau, bland)
+            if tableau.width > 32:
+                tops = [(rc + (1 << tableau.width - 1)) >> tableau.width - 32
+                        for rc in (s - tableau.det for s in unpacked_sums(tableau)) if rc < 0]
+                wide["calls"] += 1
+                wide["ties"] += tops.count(min(tops, default=-1)) > 1
+            return choice
+
+        monkeypatch.setattr(lp._DualSimplex, "_choose_entering", checked)
+        solve_covering_lp(m, g)
+        assert wide["calls"] > 0 and wide["ties"] > 0
 
 
 class TestTableau:
